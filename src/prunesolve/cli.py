@@ -16,11 +16,16 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import gcn
-from .graph import dump_edge_list, generate_ba, load_edge_list
+from .graph import (
+    _BadRow,
+    _int_rows_text,
+    _read_int_rows,
+    dump_edge_list,
+    generate_ba,
+    load_edge_list,
+)
 from .solvers import (
     Candidates,
     exact_solve,
@@ -148,33 +153,26 @@ def _read_params(path):
 
 
 def _read_candidates(path, n: int) -> Candidates:
+    """Read a good-node file: one node id per line, in the edge-list format."""
     if path == "all":
         return Candidates.all()
     try:
-        with open(path) as f:
-            lines = [ln.strip() for ln in f]
+        ids = _read_int_rows(path, 1)
     except FileNotFoundError:
         raise UsageError(f"candidate file not found: {path}") from None
-    ids = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line.startswith("#"):
-            continue
-        try:
-            ids.append(int(line))
-        except ValueError:
-            raise UsageError(
-                f"{path}: line {lineno}: expected a node id, got {line!r}"
-            ) from None
-    if not ids:
+    except _BadRow as e:
+        lineno, line, _ = e.args
+        raise UsageError(
+            f"{path}: line {lineno}: expected a node id, got {line!r}"
+        ) from None
+    if not len(ids):
         raise UsageError(f"{path}: no candidate ids")
-    return Candidates.from_ids(np.array(ids, dtype=np.int64), n)
+    return Candidates.from_ids(ids.ravel(), n)
 
 
 def _write_good_nodes(nodes, path) -> None:
     with open(path, "w") as f:
-        f.write(f"# good nodes: {nodes.size}\n")
-        for v in nodes.ids():
-            f.write(f"{v}\n")
+        f.write(f"# good nodes: {nodes.size}\n" + _int_rows_text(nodes.ids()[:, None]))
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,18 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loop in edge array")
-            canon = np.sort(edges, axis=1)
-            if len(np.unique(canon, axis=0)) != len(canon):
-                raise ValueError("duplicate edge in edge array")
         m = len(edges)
         src = np.concatenate([edges[:, 0], edges[:, 1]])
         dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.lexsort((dst, src))
+        # Sorting by (src, dst) as one key lists both directions of every
+        # edge, so a repeated edge, either way round, shows as equal
+        # neighbours. Keys of a valid edge array are distinct, so the order
+        # does not depend on the sort's stability.
+        key = src * n + dst
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("duplicate edge in edge array")
         targets = dst[order]
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
@@ -269,55 +274,169 @@ class EdgeListResult:
     dropped_duplicates: int
 
 
-def load_edge_list(path) -> EdgeListResult:
-    """Read a whitespace-separated edge list, one ``u v`` pair per line.
+class _BadRow(Exception):
+    """A data line of an integer-row file that does not parse. Its args are
+    the line number, the stripped line, and whether the token count is
+    wrong (else a token is not an integer)."""
 
-    Lines starting with ``#`` (and blank lines) are ignored. Node ids are
-    compacted to ``0..n-1`` in order of first appearance. Self-loops and
-    repeated edges are dropped, with counts reported in the result.
+
+_NEWLINE, _HASH, _PLUS, _MINUS, _UNDERSCORE, _ZERO = b"\n#+-_0"
+# A token of at most this many characters fits in an int64 digit by digit.
+_SHORT_TOKEN = 18
+
+
+def _ascii_image(text: str) -> bytes:
+    """One byte per character of ``text``, read as ``int()`` reads it.
+
+    ASCII stays as it is. Other whitespace becomes a space and other decimal
+    digits their ASCII digit; anything else becomes ``?``, which no integer
+    contains.
     """
-    ids: dict[int, int] = {}
-    edges = []
-    seen = set()
-    loops = 0
-    dups = 0
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(
-                    f"{path}: line {lineno}: expected two integers, got {line!r}"
-                )
-            try:
-                a = int(parts[0])
-                b = int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(
-                    f"{path}: line {lineno}: non-integer token in {line!r}"
-                ) from None
-            u = ids.setdefault(a, len(ids))
-            v = ids.setdefault(b, len(ids))
-            if u == v:
-                loops += 1
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                dups += 1
-                continue
-            seen.add(key)
-            edges.append(key)
-    if not ids:
+    if text.isascii():
+        return text.encode("ascii")
+    table = {
+        ord(c): " " if c.isspace() else str(int(c)) if c.isdecimal() else "?"
+        for c in set(text) if not c.isascii()
+    }
+    return text.translate(table).encode("ascii")
+
+
+def _read_int_rows(path, width: int) -> np.ndarray:
+    """Parse a text file of integers, ``width`` of them on each data line.
+
+    The format is that of :func:`load_edge_list`: whitespace-separated
+    tokens, blank lines and lines whose first token starts with ``#``
+    skipped, LF and CRLF line ends. A token is an integer exactly when
+    ``int()`` accepts it. Returns an ``(rows, width)`` int64 array, or an
+    object array of Python ints when a value does not fit in int64. Raises
+    :class:`_BadRow` for the first data line with a wrong token count or a
+    non-integer token.
+    """
+    with open(path) as fh:  # universal newlines: CRLF and CR arrive as LF
+        text = fh.read()
+    b = np.frombuffer(_ascii_image(text), dtype=np.uint8)
+    # The ASCII whitespace of str.split(): \t \n \v \f \r, \x1c-\x1f, space.
+    word = ~((b == 32) | ((b - np.uint8(9)) < 5) | ((b - np.uint8(28)) < 4))
+    padded = np.concatenate(([False], word, [False]))
+    start = word & ~padded[:-2]
+    ends = np.flatnonzero(word & ~padded[2:]) + 1
+    # Token starts and line ends in file order: a token heads its line when
+    # the event before it is a line end.
+    event = np.flatnonzero(start | (b == _NEWLINE))
+    newline = b[event] == _NEWLINE
+    token = ~newline
+    starts = event[token]
+    line = np.cumsum(newline)[token]
+    head = np.concatenate(([True], newline))[:-1][token]
+    comment = b[starts[head]] == _HASH
+    if comment.any():
+        keep = ~comment[np.cumsum(head) - 1]
+        starts, ends, line, head = starts[keep], ends[keep], line[keep], head[keep]
+
+    heads = np.flatnonzero(head)
+    counts = np.diff(heads, append=len(starts))
+    bad_count = line[heads[counts != width]]
+    # A token is an integer iff each character is a digit, an underscore
+    # between two digits, or a sign at its start followed by a digit.
+    digit = (b - np.uint8(_ZERO)) < 10
+    around = np.concatenate(([False], digit, [False]))
+    before, after = around[:-2], around[2:]
+    valid = digit | ((b == _UNDERSCORE) & before & after)
+    valid |= ((b == _PLUS) | (b == _MINUS)) & after & start
+    wrong = np.flatnonzero(word & ~valid)
+    owner = np.searchsorted(starts, wrong, side="right") - 1
+    inside = owner >= 0
+    inside[inside] = wrong[inside] < ends[owner[inside]]
+    bad_token = line[owner[inside]]
+    if bad_count.size or bad_token.size:
+        first = int(min(bad_count.min(initial=len(b)), bad_token.min(initial=len(b))))
+        newlines = event[newline]
+        lo = newlines[first - 1] + 1 if first else 0
+        hi = newlines[first] if first < len(newlines) else len(text)
+        raise _BadRow(first + 1, text[lo:hi].strip(), bool(np.any(bad_count == first)))
+
+    # Horner's rule, one character column at a time over all tokens.
+    lengths = ends - starts
+    b = np.append(b, np.zeros(_SHORT_TOKEN, dtype=np.uint8))
+    values = np.zeros(len(starts), dtype=np.int64)
+    for j in range(min(int(lengths.max(initial=0)), _SHORT_TOKEN)):
+        d = b[starts + j] - np.uint8(_ZERO)
+        values = np.where((d < 10) & (j < lengths), values * 10 + d, values)
+    values[b[starts] == _MINUS] *= -1
+    long = np.flatnonzero(lengths > _SHORT_TOKEN)
+    if long.size:
+        exact = [int(text[s:e]) for s, e in zip(starts[long], ends[long])]
+        if not all(-(2**63) <= v < 2**63 for v in exact):
+            values = values.astype(object)
+        values[long] = exact
+    return values.reshape(-1, width)
+
+
+def _number_by_first_appearance(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Replace each value by the rank of its first appearance in ``values``;
+    also return the number of distinct values."""
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    n = len(first)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(n)
+    ids = np.empty(len(values), dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, n
+
+
+def load_edge_list(path) -> EdgeListResult:
+    """Read an edge list: one ``u v`` pair of integer node ids per line.
+
+    The format:
+
+    * tokens are separated by whitespace (spaces, tabs, any other character
+      ``str.split()`` splits on), leading and trailing whitespace included;
+    * lines end in LF or CRLF (a lone CR ends a line too), and the last
+      line needs no line end;
+    * blank lines are skipped, and so is a line whose first non-whitespace
+      character is ``#``; a ``#`` later in a line is not a comment, so
+      ``0 1 # note`` is an error;
+    * every other line holds exactly two tokens, each an integer as
+      ``int()`` reads it: optional sign, decimal digits, single underscores
+      between digits, any magnitude;
+    * node ids are compacted to ``0..n-1`` in order of first appearance,
+      reading the file left to right.
+
+    Self-loops and repeated edges (``u v`` after ``u v`` or ``v u``) are
+    dropped, with counts reported in the result. A malformed line raises
+    :class:`EdgeListParseError` naming the first one (``line N``, counted
+    from 1); a file without any edge line raises :class:`EmptyGraphError`.
+    """
+    try:
+        rows = _read_int_rows(path, 2)
+    except _BadRow as e:
+        lineno, line, wrong_count = e.args
+        what = "expected two integers, got" if wrong_count else "non-integer token in"
+        raise EdgeListParseError(f"{path}: line {lineno}: {what} {line!r}") from None
+    if not len(rows):
         raise EmptyGraphError(f"{path}: no edges found")
-    graph = Graph(len(ids), np.array(edges, dtype=np.int64).reshape(-1, 2))
-    return EdgeListResult(graph, loops, dups)
+    ids, n = _number_by_first_appearance(rows.ravel())
+    ids = ids.reshape(-1, 2)
+    loop = ids[:, 0] == ids[:, 1]
+    u, v = ids[~loop].T
+    key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    key = key[np.diff(key, prepend=-1) > 0]
+    graph = Graph(n, np.column_stack([key // n, key % n]))
+    return EdgeListResult(graph, int(loop.sum()), len(u) - len(key))
+
+
+def _int_rows_text(rows: np.ndarray) -> str:
+    """Decimal text of a 2-D integer array: one line per row, columns
+    separated by one space."""
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def dump_edge_list(g: Graph, path) -> None:
     """Write one ``u v`` line per edge with ``u < v``."""
-    edges = g.edge_array()
     with open(path, "w") as fh:
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(_int_rows_text(g.edge_array()))

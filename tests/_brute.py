@@ -1,10 +1,15 @@
-"""Exhaustive bitmask solvers used as independent oracles in tests.
+"""Slow, obviously correct references used as independent oracles in tests.
 
-Every routine enumerates all 2^n node subsets, so they are only usable for
-tiny graphs (n <= ~16). They share no code with the package's solvers.
+The bitmask solvers enumerate all 2^n node subsets, so they are only usable
+for tiny graphs (n <= ~16). They share no code with the package's solvers.
+``brute_edge_list`` is the line-by-line edge-list parser, and ``brute_csr``
+builds neighbour lists with a lexsort; they check the vectorized loader and
+``Graph``.
 """
 
 import numpy as np
+
+from prunesolve.graph import EdgeListParseError, EmptyGraphError
 
 
 def _subset_tables(g):
@@ -55,3 +60,59 @@ def brute_mis(g, eligible_mask=None):
         independent &= (subsets & em) != em
     independent &= _eligible_filter(subsets, eligible_mask)
     return int(pop[independent].max())
+
+
+def brute_edge_list(path):
+    """Parse an edge list one line at a time.
+
+    Returns ``(n, edges, dropped_self_loops, dropped_duplicates)`` with
+    ``edges`` an ``(m, 2)`` array of ``(min, max)`` pairs in file order, and
+    raises the loader's exceptions with the same messages.
+    """
+    ids = {}
+    edges = []
+    seen = set()
+    loops = 0
+    dups = 0
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise EdgeListParseError(
+                    f"{path}: line {lineno}: expected two integers, got {line!r}"
+                )
+            try:
+                a = int(parts[0])
+                b = int(parts[1])
+            except ValueError:
+                raise EdgeListParseError(
+                    f"{path}: line {lineno}: non-integer token in {line!r}"
+                ) from None
+            u = ids.setdefault(a, len(ids))
+            v = ids.setdefault(b, len(ids))
+            if u == v:
+                loops += 1
+                continue
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                dups += 1
+                continue
+            seen.add(key)
+            edges.append(key)
+    if not ids:
+        raise EmptyGraphError(f"{path}: no edges found")
+    return len(ids), np.array(edges, dtype=np.int64).reshape(-1, 2), loops, dups
+
+
+def brute_csr(n, edges):
+    """``(offsets, targets)`` of a simple undirected graph, by lexsort."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    targets = dst[np.lexsort((dst, src))]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, targets

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from prunesolve.cli import OUT_DIR_ENV, main
+from prunesolve.cli import OUT_DIR_ENV, _write_good_nodes, main
 from prunesolve.gcn import load_params
-from prunesolve.graph import load_edge_list
+from prunesolve.graph import NodeSet, load_edge_list
 from prunesolve.training import load_labels
 
 
@@ -182,6 +182,44 @@ class TestPruneAndSolve:
         empty.write_text("# good nodes: 0\n")
         assert run("solve", "--graph", str(g), "--problem", "mvc",
                    "--solver", "greedy", "--candidates", str(empty)) == 1
+
+    def test_good_node_file_format(self, workdir):
+        out = workdir / "good.txt"
+        _write_good_nodes(NodeSet.from_ids([12, 3, 40], 60), out)
+        assert out.read_bytes() == b"# good nodes: 3\n3\n12\n40\n"
+        _write_good_nodes(NodeSet.empty(5), out)
+        assert out.read_bytes() == b"# good nodes: 0\n"
+
+    @pytest.mark.parametrize("body, message", [
+        (b"# good nodes: 2\n1\n2 3\n", "line 3: expected a node id, got '2 3'"),
+        (b"1\r\n\r\n x1 \r\n", "line 3: expected a node id, got 'x1'"),
+        (b"4 # note\n", "line 1: expected a node id, got '4 # note'"),
+        (b"# nothing\n\n", "no candidate ids"),
+        (b"", "no candidate ids"),
+    ])
+    def test_bad_candidate_file_names_line(self, workdir, capsys, body, message):
+        g = make_graph(workdir)
+        cand = workdir / "cand.txt"
+        cand.write_bytes(body)
+        assert run("solve", "--graph", str(g), "--problem", "mvc",
+                   "--solver", "greedy", "--candidates", str(cand)) == 1
+        assert f"{cand}: {message}" in capsys.readouterr().err
+
+    def test_candidate_file_layouts(self, workdir, capsys):
+        g = make_graph(workdir)
+        plain = workdir / "plain.txt"
+        plain.write_bytes(b"# good nodes: 4\n3\n7\n12\n40\n")
+        dirty = workdir / "dirty.txt"
+        dirty.write_bytes(b"\t+3\r\n\r\n  # c\r\n007 \r\n1_2\r\n40")
+        outputs = []
+        for cand in (plain, dirty):
+            capsys.readouterr()
+            assert run("solve", "--graph", str(g), "--problem", "mis",
+                       "--solver", "greedy", "--candidates", str(cand)) == 0
+            head, *ids = capsys.readouterr().out.splitlines()
+            outputs.append((head.split()[:3], ids))
+        assert outputs[0] == outputs[1]
+        assert set(outputs[0][1]) <= {"3", "7", "12", "40"}
 
 
 class TestBench:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _brute import brute_csr, brute_edge_list
 from conftest import graph_from_edges, random_graph
 from prunesolve.graph import (
     EdgeListParseError,
@@ -39,6 +40,29 @@ class TestGraphStructure:
             Graph(3, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             Graph(2, [(0, 5)])
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (1, 0)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 1)],
+        [(3, 4), (1, 2), (2, 3), (0, 1), (4, 3)],
+    ])
+    def test_rejects_duplicate_in_any_row(self, edges):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            Graph(5, edges)
+
+    def test_neighbor_lists_match_lexsort_reference(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 40))
+            g = random_graph(n, float(rng.uniform(0.05, 0.6)), seed)
+            edges = g.edge_array()[rng.permutation(g.m)]
+            flip = rng.random(g.m) < 0.5
+            edges = np.where(flip[:, None], edges[:, ::-1], edges)
+            rebuilt = Graph(n, edges)
+            offsets, targets = brute_csr(n, edges)
+            assert np.array_equal(rebuilt.offsets, offsets)
+            assert np.array_equal(rebuilt.targets, targets)
+            rebuilt.validate()
 
     def test_edge_array_canonical(self, cycle5):
         e = cycle5.edge_array()
@@ -165,6 +189,29 @@ class TestEdgeListIo:
         p.write_text("# header\n\n0 1\n")
         assert load_edge_list(p).graph.m == 1
 
+    def test_dump_format_is_one_line_per_edge(self, tmp_path):
+        g = generate_ba(300, 3, seed=4)
+        p = tmp_path / "ba.txt"
+        dump_edge_list(g, p)
+        expected = "".join(f"{u} {v}\n" for u, v in g.edge_array())
+        assert p.read_bytes() == expected.encode("ascii")
+        dump_edge_list(Graph(3, np.empty((0, 2), dtype=np.int64)), p)
+        assert p.read_bytes() == b""
+
+    @pytest.mark.parametrize("body", ["+1 2\n", "007 1_0\n", "-0 5\n", "1\x0c2\n"])
+    def test_int_forms_accepted(self, tmp_path, body):
+        p = tmp_path / "forms.txt"
+        p.write_text(body)
+        assert load_edge_list(p).graph.m == 1
+
+    def test_ids_beyond_int64_stay_distinct(self, tmp_path):
+        p = tmp_path / "huge.txt"
+        big = 10**25
+        p.write_text(f"{big} 1\n{big} {-big}\n{big + 1} 1\n1_{big} {big}\n")
+        res = load_edge_list(p)
+        assert (res.graph.n, res.graph.m) == (5, 4)
+        assert res.graph.has_edge(0, 2) and res.graph.has_edge(3, 1)
+
     def test_dump_load_roundtrip(self, tmp_path):
         g = generate_ba(80, 3, seed=5)
         p = tmp_path / "ba.txt"
@@ -172,6 +219,103 @@ class TestEdgeListIo:
         back = load_edge_list(p).graph
         assert back.n == g.n and back.m == g.m
         assert sorted(back.degrees()) == sorted(g.degrees())
+
+
+def _dirty_edge_lines(rng) -> list[str]:
+    """Lines of a random edge list in the layouts the loader accepts: sparse
+    and negative ids, self-loops, repeated and reversed edges, blank and
+    comment lines, tabs and stray spaces."""
+    pool = rng.integers(0, 10**9, size=int(rng.integers(2, 30)))
+    pool[::3] %= 100
+    pool[1::3] = -1 - pool[1::3] % 50
+    seen = []
+    lines = []
+    for _ in range(int(rng.integers(1, 60))):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append(rng.choice(["", " ", "\t"]))
+            continue
+        if kind < 0.16:
+            lines.append(rng.choice(["#", "# comment 1 2", "  #x", "\t# 3"]))
+            continue
+        if seen and kind < 0.3:
+            u, v = seen[int(rng.integers(len(seen)))]
+            if rng.random() < 0.5:
+                u, v = v, u
+        else:
+            u, v = (str(x) for x in rng.choice(pool, 2))
+            if rng.random() < 0.05:
+                v = u
+            if rng.random() < 0.05:
+                u = rng.choice(["+", "00", "-0"]) + u.lstrip("-")
+        seen.append((u, v))
+        sep = rng.choice([" ", "  ", "\t", " \t "])
+        lead = rng.choice(["", "", " ", "\t"])
+        trail = rng.choice(["", "", " ", "\t "])
+        lines.append(f"{lead}{u}{sep}{v}{trail}")
+    return lines
+
+
+def _write_lines(path, lines, rng):
+    crlf = rng.random() < 0.5
+    ends = [("\r\n" if (crlf if rng.random() < 0.9 else not crlf) else "\n")
+            for _ in lines]
+    if rng.random() < 0.3:
+        ends[-1] = ""  # no newline at the end of the file
+    path.write_bytes("".join(a + b for a, b in zip(lines, ends)).encode("ascii"))
+
+
+def _error(load, path):
+    """The type and message of the loader error ``load(path)`` raises, or None."""
+    try:
+        load(path)
+    except (EdgeListParseError, EmptyGraphError) as e:
+        return type(e), str(e)
+    return None
+
+
+class TestEdgeListDifferential:
+    """The vectorized loader against the line-by-line reference parser."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_line_parser(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        lines = _dirty_edge_lines(rng)
+        if seed % 4 == 3:  # malformed: one bad line somewhere
+            bad = rng.choice(["7", "1 2 3", "1 x", "0 1 # note", "1.5 2", "_1 2",
+                              "0x1 2", "1 2 3 4", "1__0 2"])
+            lines.insert(int(rng.integers(0, len(lines) + 1)), str(bad))
+        path = tmp_path / f"dirty{seed}.txt"
+        _write_lines(path, lines, rng)
+        expected_error = _error(brute_edge_list, path)
+        if expected_error:
+            assert _error(load_edge_list, path) == expected_error
+            return
+        n, edges, loops, dups = brute_edge_list(path)
+        offsets, targets = brute_csr(n, edges)
+        got = load_edge_list(path)
+        assert got.graph.n == n
+        assert np.array_equal(got.graph.offsets, offsets)
+        assert np.array_equal(got.graph.targets, targets)
+        assert (got.dropped_self_loops, got.dropped_duplicates) == (loops, dups)
+
+    @pytest.mark.parametrize("body", [
+        "",
+        "\n\n",
+        "# only a comment",
+        "0 1\n2\n",
+        "0 1\r\n2 3 4\r\n",
+        "0 1\n\n# c\n1 y\n",
+        "0 1 # note\n",
+        "0 1\n1 2\n3 4 5",
+        "# 1 2\n  \t\n12 x3\n",
+    ])
+    def test_malformed_same_error(self, tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(body.encode("ascii"))
+        expected = _error(brute_edge_list, path)
+        assert expected is not None
+        assert _error(load_edge_list, path) == expected
 
 
 class TestSeeding:
