@@ -40,8 +40,9 @@ path = Graph(3, [(0, 1), (1, 2)])
 ls = local_search_mis(path, seed=0)
 print("local-search MIS on a path:", [int(v) for v in ls.nodes.ids()])
 
-# The exact solver is branch and bound with degree reductions and matching /
-# clique-cover bounds. On small graphs it proves optimality.
+# The exact solver is branch and bound for vertex cover with degree
+# reductions and a matching bound; an independent set is the complement of a
+# minimum cover. On small graphs it proves optimality.
 c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 for problem in ("mvc", "mis"):
     sol = exact_solve(c5, problem)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,14 +27,10 @@ from . import gcn
 from .graph import Graph, derive_seed, generate_ba, load_edge_list
 from .solvers import (
     MVC,
+    SOLVERS,
     Candidates,
-    Solution,
     coverage,
-    exact_solve,
-    greedy_mis,
-    greedy_mvc,
-    local_search_mis,
-    local_search_mvc,
+    solve,
     validate_solution,
     _norm_problem,
 )
@@ -50,7 +46,6 @@ from .training import (
     train_teacher,
 )
 
-SOLVERS = ("greedy", "local-search", "exact")
 VARIANTS = ("baseline", "pruned_pt", "pruned")
 
 CSV_COLUMNS = [
@@ -174,17 +169,6 @@ def speedup(time_baseline: float, time_variant: float) -> float:
     return time_baseline / time_variant
 
 
-def _solve_once(g: Graph, problem: str, solver: str, cand: Candidates,
-                seed: int, time_limit: float) -> Solution:
-    if solver == "greedy":
-        return greedy_mvc(g, cand) if problem == MVC else greedy_mis(g, cand)
-    if solver == "local-search":
-        if problem == MVC:
-            return local_search_mvc(g, cand, seed=seed)
-        return local_search_mis(g, cand, seed=seed)
-    return exact_solve(g, problem, cand, time_limit=time_limit)
-
-
 def _run_cell(g: Graph, problem: str, solver: str, cand: Candidates,
               seed: int, time_limit: float, repeats: int) -> dict:
     """One (graph, solver, variant) measurement: repeated identical runs,
@@ -192,7 +176,7 @@ def _run_cell(g: Graph, problem: str, solver: str, cand: Candidates,
     times = []
     sol = None
     for _ in range(repeats):
-        sol = _solve_once(g, problem, solver, cand, seed, time_limit)
+        sol = solve(g, problem, solver, cand, seed, time_limit)
         times.append(sol.runtime)
     report = validate_solution(g, sol)
     if not report.ok:
@@ -204,17 +188,6 @@ def _run_cell(g: Graph, problem: str, solver: str, cand: Candidates,
         "runtime": float(np.median(times)),
         "timed_out": sol.optimal is False,
     }
-
-
-def _time_predict(g: Graph, params, x, repeats: int) -> float:
-    """Median milliseconds for an eval forward pass plus thresholding."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        logits = gcn.forward(g, params, x)
-        _ = logits[:, 1] >= logits[:, 0]
-        times.append((time.perf_counter() - t0) * 1e3)
-    return float(np.median(times))
 
 
 def run_pipeline(cfg: PipelineConfig, jobs: int = 1, log=None) -> BenchReport:
@@ -286,10 +259,10 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1, log=None) -> BenchReport:
                 "recall_teacher": recall(good_t, truth),
                 "recall_kd": recall(good_kd, truth),
                 "recall_student": recall(good_s, truth),
-                "infer_teacher_ms": _time_predict(tg, teacher.params, x,
-                                                  cfg.inference_repeats),
-                "infer_student_ms": _time_predict(tg, student.params, x,
-                                                  cfg.inference_repeats),
+                "infer_teacher_ms": gcn.time_inference(
+                    tg, teacher.params, x, cfg.inference_repeats),
+                "infer_student_ms": gcn.time_inference(
+                    tg, student.params, x, cfg.inference_repeats),
                 "cands": {
                     "baseline": (Candidates.all(), 1.0),
                     "pruned_pt": (Candidates.restrict(good_t), good_t.size / tg.n),
@@ -408,41 +381,37 @@ def load_config(path) -> PipelineConfig:
     return config_from_dict(raw)
 
 
-def _build(cls, raw: dict, context: str):
-    import dataclasses
-
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - names
+def _check_keys(cls, raw: dict, context: str) -> None:
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
-    return raw
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ValueError("config root must be a JSON object")
-    raw = dict(raw)
-    _build(PipelineConfig, raw, "config")
-    for key in ("train_graph",):
+    _check_keys(PipelineConfig, raw, "config")
+    for key in ("train_graph", "problem", "test_graphs", "solvers"):
         if key not in raw:
             raise ValueError(f"config: missing required key {key!r}")
-    if "problem" not in raw:
-        raise ValueError("config: missing required key 'problem'")
-    if "test_graphs" not in raw or "solvers" not in raw:
-        raise ValueError("config: missing required key 'test_graphs' or 'solvers'")
-    raw["train_graph"] = GraphSpec(**_build(
-        GraphSpec, raw["train_graph"], "train_graph"))
-    raw["test_graphs"] = [
-        GraphSpec(**_build(GraphSpec, g, f"test_graphs[{i}]"))
-        for i, g in enumerate(raw["test_graphs"])
-    ]
+    raw = dict(raw)
+    _check_keys(GraphSpec, raw["train_graph"], "train_graph")
+    raw["train_graph"] = GraphSpec(**raw["train_graph"])
+    graphs = []
+    for i, g in enumerate(raw["test_graphs"]):
+        _check_keys(GraphSpec, g, f"test_graphs[{i}]")
+        graphs.append(GraphSpec(**g))
+    raw["test_graphs"] = graphs
     if "teacher" in raw:
+        teacher = raw["teacher"]
+        _check_keys(TeacherConfig, teacher, "teacher")
         raw["teacher"] = TeacherConfig(**{
-            **_build(TeacherConfig, raw["teacher"], "teacher"),
-            "hidden_dims": tuple(raw["teacher"].get("hidden_dims", (128, 128, 128))),
+            **teacher,
+            "hidden_dims": tuple(teacher.get("hidden_dims", (128, 128, 128))),
         })
     if "student" in raw:
-        student = _build(StudentConfig, raw["student"], "student")
+        student = raw["student"]
+        _check_keys(StudentConfig, student, "student")
         if student.get("hidden_dims") is not None:
             student = {**student, "hidden_dims": tuple(student["hidden_dims"])}
         raw["student"] = StudentConfig(**student)

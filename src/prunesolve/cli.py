@@ -26,17 +26,8 @@ from .graph import (
     generate_ba,
     load_edge_list,
 )
-from .solvers import (
-    Candidates,
-    exact_solve,
-    format_solution,
-    greedy_mis,
-    greedy_mvc,
-    local_search_mis,
-    local_search_mvc,
-)
+from .solvers import PROBLEMS, SOLVERS, Candidates, format_solution, solve
 from .training import (
-    ORACLES,
     StudentConfig,
     TeacherConfig,
     boost_weights,
@@ -118,6 +109,18 @@ def _require(eff: dict, *keys: str) -> None:
             raise UsageError(f"missing required option --{key.replace('_', '-')}")
 
 
+def _choice(key: str, value, choices):
+    """``value`` if it is one of ``choices``, else a usage error naming them.
+
+    Flags are checked by argparse; this catches values from a config file.
+    """
+    if value not in choices:
+        raise UsageError(
+            f"unknown {key} {value!r}, expected one of {', '.join(choices)}"
+        )
+    return value
+
+
 def _parse_hidden(value) -> tuple:
     if isinstance(value, (list, tuple)):
         dims = tuple(int(d) for d in value)
@@ -196,10 +199,11 @@ def _cmd_label(args) -> int:
     }
     eff = _merge(args, defaults)
     _require(eff, "graph", "problem")
-    if eff["oracle"] not in ORACLES:
-        raise UsageError(f"unknown oracle {eff['oracle']!r}")
+    # problem names are case-insensitive, as the library reads them
+    problem = _choice("problem", str(eff["problem"]).lower(), PROBLEMS)
+    oracle = _choice("oracle", eff["oracle"], SOLVERS)
     g = _read_graph(eff["graph"])
-    ls = generate_labels(g, eff["problem"], eff["oracle"], int(eff["seed"]),
+    ls = generate_labels(g, problem, oracle, int(eff["seed"]),
                          float(eff["time_limit"]))
     save_labels(ls, eff["out"])
     ones = int(ls.labels.sum())
@@ -282,21 +286,12 @@ def _cmd_solve(args) -> int:
     }
     eff = _merge(args, defaults)
     _require(eff, "graph", "problem", "solver")
+    problem = _choice("problem", str(eff["problem"]).lower(), PROBLEMS)
+    solver = _choice("solver", eff["solver"], SOLVERS)
     g = _read_graph(eff["graph"])
     cand = _read_candidates(eff["candidates"], g.n)
-    problem, solver = str(eff["problem"]).lower(), eff["solver"]
-    seed = int(eff["seed"])
-    if solver == "greedy":
-        sol = greedy_mvc(g, cand) if problem == "mvc" else greedy_mis(g, cand)
-    elif solver == "local-search":
-        if problem == "mvc":
-            sol = local_search_mvc(g, cand, seed=seed)
-        else:
-            sol = local_search_mis(g, cand, seed=seed)
-    elif solver == "exact":
-        sol = exact_solve(g, problem, cand, time_limit=float(eff["time_limit"]))
-    else:
-        raise UsageError(f"unknown solver {eff['solver']!r}")
+    sol = solve(g, problem, solver, cand, int(eff["seed"]),
+                float(eff["time_limit"]))
     sys.stdout.write(format_solution(g, sol))
     return 0
 
@@ -358,8 +353,8 @@ def build_parser() -> _Parser:
 
     p = add("label", _cmd_label, "Label a graph's nodes with a solver's solution.")
     p.add_argument("--graph", help="edge-list path (required)")
-    p.add_argument("--problem", choices=["mvc", "mis"], help="problem (required)")
-    p.add_argument("--oracle", choices=list(ORACLES),
+    p.add_argument("--problem", choices=PROBLEMS, help="problem (required)")
+    p.add_argument("--oracle", choices=SOLVERS,
                    help="labeling solver (default: greedy)")
     p.add_argument("--time-limit", type=float, dest="time_limit",
                    help="exact-oracle time limit seconds (default: 3600)")
@@ -406,8 +401,8 @@ def build_parser() -> _Parser:
 
     p = add("solve", _cmd_solve, "Run one solver and print the solution.")
     p.add_argument("--graph", help="edge-list path (required)")
-    p.add_argument("--problem", choices=["mvc", "mis"], help="problem (required)")
-    p.add_argument("--solver", choices=["greedy", "local-search", "exact"],
+    p.add_argument("--problem", choices=PROBLEMS, help="problem (required)")
+    p.add_argument("--solver", choices=SOLVERS,
                    help="algorithm (required)")
     p.add_argument("--candidates",
                    help="good-node file restricting the search, or 'all' (default)")

@@ -433,32 +433,6 @@ def _greedy_cover_dict(adj: dict[int, set[int]]) -> set[int]:
     return cover
 
 
-def _greedy_is_dict(adj: dict[int, set[int]]) -> set[int]:
-    """Min-degree greedy independent set of a dict graph (incumbent seed)."""
-    deg = {v: len(s) for v, s in adj.items()}
-    live = {v: set(s) for v, s in adj.items()}
-    alive = set(adj)
-    heap = [(d, v) for v, d in deg.items()]
-    heapq.heapify(heap)
-    chosen: set[int] = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v not in alive or deg[v] != d:
-            continue
-        chosen.add(v)
-        drop = [v] + sorted(live[v])
-        for r in drop:
-            alive.discard(r)
-        for r in drop:
-            for u in live[r]:
-                if u in alive:
-                    live[u].discard(r)
-                    deg[u] -= 1
-                    heapq.heappush(heap, (deg[u], u))
-            live[r] = set()
-    return chosen
-
-
 def _matching_lb(adj: dict[int, set[int]]) -> int:
     """Size of a greedy maximal matching: a vertex-cover lower bound."""
     used: set[int] = set()
@@ -476,24 +450,6 @@ def _matching_lb(adj: dict[int, set[int]]) -> int:
             used.add(partner)
             size += 1
     return size
-
-
-def _clique_cover_ub(adj: dict[int, set[int]]) -> int:
-    """Number of cliques in a greedy clique cover: an independent-set upper
-    bound, since any independent set meets each clique at most once."""
-    assigned: set[int] = set()
-    count = 0
-    for v in sorted(adj):
-        if v in assigned:
-            continue
-        clique = [v]
-        assigned.add(v)
-        for u in sorted(adj[v]):
-            if u not in assigned and all(u in adj[w] for w in clique):
-                clique.append(u)
-                assigned.add(u)
-        count += 1
-    return count
 
 
 def _bb_mvc(adj: dict[int, set[int]], deadline: float) -> tuple[set[int], bool]:
@@ -579,103 +535,25 @@ def _bb_mvc(adj: dict[int, set[int]], deadline: float) -> tuple[set[int], bool]:
         return best, False
 
 
-def _bb_mis(adj: dict[int, set[int]], deadline: float) -> tuple[set[int], bool]:
-    """Branch and bound for maximum independent set on a dict graph."""
-    best = _greedy_is_dict(adj)
-    best_size = len(best)
-    chosen: list[int] = []
-    undo: list[tuple[int, set[int]]] = []
-
-    def remove_node(v: int) -> None:
-        nbrs = adj.pop(v)
-        for u in nbrs:
-            adj[u].discard(v)
-        undo.append((v, nbrs))
-
-    def restore(mark: int) -> None:
-        while len(undo) > mark:
-            v, nbrs = undo.pop()
-            adj[v] = nbrs
-            for u in nbrs:
-                adj[u].add(v)
-
-    def reduce_() -> None:
-        while True:
-            _check_time(deadline)
-            deg0 = [v for v in adj if not adj[v]]
-            if deg0:
-                for v in deg0:
-                    chosen.append(v)
-                    remove_node(v)
-                continue
-            leaf = None
-            for v in adj:
-                if len(adj[v]) == 1:
-                    leaf = v
-                    break
-            if leaf is None:
-                return
-            u = next(iter(adj[leaf]))
-            chosen.append(leaf)
-            remove_node(leaf)
-            remove_node(u)
-
-    def search() -> None:
-        nonlocal best, best_size
-        _check_time(deadline)
-        mark_u = len(undo)
-        mark_c = len(chosen)
-        reduce_()
-        if not adj:
-            if len(chosen) > best_size:
-                best = set(chosen)
-                best_size = len(chosen)
-        else:
-            ub = len(chosen) + _clique_cover_ub(adj)
-            if ub > best_size:
-                v = min(adj, key=lambda u: (-len(adj[u]), u))
-                # include v: neighbors drop out
-                chosen.append(v)
-                mark2 = len(undo)
-                nbrs = sorted(adj[v])
-                remove_node(v)
-                for u in nbrs:
-                    remove_node(u)
-                search()
-                restore(mark2)
-                chosen.pop()
-                # exclude v
-                mark2 = len(undo)
-                remove_node(v)
-                search()
-                restore(mark2)
-        restore(mark_u)
-        del chosen[mark_c:]
-
-    try:
-        search()
-        return best, True
-    except _Deadline:
-        return best, False
-
-
 def exact_solve(
     g: Graph,
     problem: str,
     cand: Candidates | None = None,
     time_limit: float = 3600.0,
 ) -> Solution:
-    """Exact branch-and-bound solve with reductions and combinatorial bounds.
+    """Exact branch-and-bound solve: one minimum vertex cover search serves
+    both problems.
 
     Degree-0 and degree-1 reductions run at every search node; branching is
-    on the maximum-degree undecided node. A greedy maximal matching bounds
-    vertex covers from below and a greedy clique cover bounds independent
-    sets from above. Restricted vertex cover is lexicographic: cover every
-    edge touching a candidate, then minimize solution size; restricted
-    independent set is solved on the candidate-induced subgraph.
+    on the maximum-degree undecided node, and a greedy maximal matching
+    bounds covers from below. Restricted vertex cover is lexicographic:
+    cover every edge touching a candidate, then minimize solution size.
+    An independent set is the complement of a minimum vertex cover of the
+    candidate-induced subgraph (all of the graph in full space).
 
     On timeout the best incumbent found so far is returned with
-    ``optimal=False``.
+    ``optimal=False``; an independent set is then topped up with free
+    candidates so that a full-space result stays maximal.
     """
     if time_limit <= 0:
         raise ValueError("time_limit must be positive")
@@ -718,11 +596,20 @@ def exact_solve(
                 optimal=optimal,
                 restricted=restricted,
             )
-        adj = _adj_from_mask(g, eligible)
-        core, optimal = _bb_mis(adj, deadline)
+        # inside the candidate-induced subgraph, a maximum independent set is
+        # the complement of a minimum vertex cover
+        cover, optimal = _bb_mvc(_adj_from_mask(g, eligible), deadline)
+        in_set = eligible.copy()
+        in_set[np.fromiter(cover, dtype=np.int64, count=len(cover))] = False
+        # a timed-out cover need not be minimal, so its complement need not be
+        # maximal; additions only tighten, so one ascending pass with an
+        # inline recheck adds every free candidate (none when optimal)
+        for v in np.flatnonzero(eligible & ~in_set & (g.count_in_mask(in_set) == 0)):
+            if not in_set[g.neighbors(v)].any():
+                in_set[v] = True
         return Solution(
             problem=MIS,
-            nodes=NodeSet.from_ids(sorted(core), g.n),
+            nodes=NodeSet(in_set),
             algorithm="exact",
             runtime=time.perf_counter() - t0,
             optimal=optimal,
@@ -730,3 +617,34 @@ def exact_solve(
         )
     finally:
         sys.setrecursionlimit(old_limit)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch by name
+
+SOLVERS = ("greedy", "local-search", "exact")
+
+
+def solve(
+    g: Graph,
+    problem: str,
+    solver: str,
+    cand: Candidates | None = None,
+    seed: int = 0,
+    time_limit: float = 3600.0,
+) -> Solution:
+    """Run the named solver for the named problem.
+
+    ``seed`` is used by local search only and ``time_limit`` by the exact
+    solver only.
+    """
+    problem = _norm_problem(problem)
+    if solver == "greedy":
+        return greedy_mvc(g, cand) if problem == MVC else greedy_mis(g, cand)
+    if solver == "local-search":
+        if problem == MVC:
+            return local_search_mvc(g, cand, seed=seed)
+        return local_search_mis(g, cand, seed=seed)
+    if solver == "exact":
+        return exact_solve(g, problem, cand, time_limit=time_limit)
+    raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")

@@ -20,19 +20,7 @@ import numpy as np
 from . import gcn
 from .gcn import GcnParams
 from .graph import Graph, NodeSet, derive_seed, make_rng
-from .solvers import (
-    MIS,
-    MVC,
-    Candidates,
-    _norm_problem,
-    exact_solve,
-    greedy_mis,
-    greedy_mvc,
-    local_search_mis,
-    local_search_mvc,
-)
-
-ORACLES = ("greedy", "local-search", "exact")
+from .solvers import MVC, _norm_problem, solve
 
 
 class TrainingDivergedError(RuntimeError):
@@ -90,23 +78,12 @@ def generate_labels(g: Graph, problem: str, oracle: str = "greedy",
     caller to fall back to a heuristic oracle.
     """
     problem = _norm_problem(problem)
-    if oracle not in ORACLES:
-        raise ValueError(f"unknown oracle {oracle!r}, expected one of {ORACLES}")
-    if oracle == "exact":
-        sol = exact_solve(g, problem, time_limit=time_limit)
-        if not sol.optimal:
-            raise RuntimeError(
-                "exact label oracle hit its time limit; rerun with "
-                "oracle='greedy' or oracle='local-search'"
-            )
-    elif oracle == "greedy":
-        sol = greedy_mvc(g) if problem == MVC else greedy_mis(g)
-    else:
-        ls_seed = derive_seed(seed, "oracle-ls")
-        sol = (
-            local_search_mvc(g, seed=ls_seed)
-            if problem == MVC
-            else local_search_mis(g, seed=ls_seed)
+    sol = solve(g, problem, oracle, seed=derive_seed(seed, "oracle-ls"),
+                time_limit=time_limit)
+    if sol.optimal is False:
+        raise RuntimeError(
+            "exact label oracle hit its time limit; rerun with "
+            "oracle='greedy' or oracle='local-search'"
         )
     labels = sol.nodes.mask.astype(np.int8)
     rng = make_rng(derive_seed(seed, "split"))
@@ -401,9 +378,3 @@ def recall(pred: NodeSet, truth: LabelSet, which: str = "all") -> float:
         return 1.0
     tp = int((pred.mask[ids] & pos).sum())
     return tp / total
-
-
-def good_candidates(params: GcnParams, g: Graph,
-                    x: np.ndarray | None = None) -> Candidates:
-    """Convenience: prediction wrapped as a solver search space."""
-    return Candidates.restrict(predict_good_nodes(params, g, x))

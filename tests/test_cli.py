@@ -89,6 +89,21 @@ class TestLabel:
         g = make_graph(workdir)
         assert run("label", "--graph", str(g), "--problem", "sat") == 1
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("problem", "vc", "unknown problem 'vc', expected one of mvc, mis"),
+        ("oracle", "tabu", "unknown oracle 'tabu', expected one of greedy, "
+                           "local-search, exact"),
+    ], ids=["problem", "oracle"])
+    def test_bad_config_choice_is_usage_error(self, workdir, capsys,
+                                              key, value, message):
+        g = make_graph(workdir)
+        cfg = workdir / "label.json"
+        cfg.write_text(json.dumps({"problem": "mvc", key: value}))
+        capsys.readouterr()
+        assert run("label", "--config", str(cfg), "--graph", str(g)) == 1
+        assert message in capsys.readouterr().err
+        assert not (workdir / "labels.txt").exists()
+
     def test_exact_timeout_is_runtime_failure(self, workdir):
         g = make_graph(workdir, n=300, m=4)
         assert run("label", "--graph", str(g), "--problem", "mvc",
@@ -175,6 +190,32 @@ class TestPruneAndSolve:
         assert run("solve", "--graph", str(g), "--problem", "mvc",
                    "--solver", "exact") == 0
         assert capsys.readouterr().out.splitlines()[0].split()[5] == "true"
+
+    @pytest.mark.parametrize("config, message", [
+        ({"problem": "vc", "solver": "greedy"},
+         "unknown problem 'vc', expected one of mvc, mis"),
+        ({"problem": "vc", "solver": "exact"},
+         "unknown problem 'vc', expected one of mvc, mis"),
+        ({"problem": "mis", "solver": "tabu"},
+         "unknown solver 'tabu', expected one of greedy, local-search, exact"),
+    ], ids=["greedy-bad-problem", "exact-bad-problem", "bad-solver"])
+    def test_bad_config_choice_is_usage_error(self, workdir, capsys,
+                                              config, message):
+        g = make_graph(workdir)
+        cfg = workdir / "solve.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run("solve", "--config", str(cfg), "--graph", str(g)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    def test_config_problem_case_insensitive(self, workdir, capsys):
+        g = make_graph(workdir)
+        cfg = workdir / "solve.json"
+        cfg.write_text(json.dumps({"problem": "MIS", "solver": "greedy"}))
+        capsys.readouterr()
+        assert run("solve", "--config", str(cfg), "--graph", str(g)) == 0
+        assert capsys.readouterr().out.split()[0] == "mis"
 
     def test_empty_candidate_file_rejected(self, workdir):
         g = make_graph(workdir)

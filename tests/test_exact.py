@@ -5,6 +5,7 @@ import pytest
 
 from _brute import brute_mis, brute_mvc
 from conftest import graph_from_edges, random_graph
+from prunesolve import solvers
 from prunesolve.graph import Graph, NodeSet, generate_ba
 from prunesolve.solvers import (
     MIS,
@@ -117,3 +118,23 @@ class TestSearchBehavior:
         assert s.optimal is True
         assert coverage(g, s) == 1.0
         assert s.size <= 40
+
+    def test_timed_out_cover_complement_is_topped_up(self, monkeypatch):
+        # a search cut short may return a valid cover that is not minimal;
+        # the worst case is every node of its input, whose complement is empty
+        monkeypatch.setattr(solvers, "_bb_mvc",
+                            lambda adj, deadline: (set(adj), False))
+        g = random_graph(30, 0.15, 3)
+        full = exact_solve(g, MIS)
+        assert full.optimal is False
+        assert validate_solution(g, full).ok
+        elig = np.zeros(g.n, dtype=bool)
+        elig[::2] = True
+        part = exact_solve(g, MIS, Candidates.restrict(NodeSet(elig)))
+        assert part.optimal is False
+        assert validate_solution(g, part).ok
+        # restricted validation does not ask for maximality, so check that no
+        # candidate could still be added
+        mask = part.nodes.mask
+        assert not (mask & ~elig).any()
+        assert not (elig & ~mask & (g.count_in_mask(mask) == 0)).any()

@@ -18,7 +18,6 @@ from prunesolve.gcn import (
     init_params,
     kd_loss,
     load_params,
-    predict_probs,
     save_params,
     softmax,
     supervised_loss,
@@ -114,7 +113,7 @@ class TestForward:
         p = zero_like(init_params([1, 4, 2], seed=0))
         x = np.ones((3, 1))
         assert np.all(forward(triangle, p, x) == 0.0)
-        assert np.allclose(predict_probs(triangle, p, x), 0.5)
+        assert np.allclose(softmax(forward(triangle, p, x)), 0.5)
 
     def test_edgeless_single_layer_is_plain_linear(self):
         g = Graph(4, np.empty((0, 2), dtype=np.int64))

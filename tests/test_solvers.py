@@ -17,6 +17,7 @@ from prunesolve.solvers import (
     greedy_mvc,
     local_search_mis,
     local_search_mvc,
+    solve,
     validate_solution,
 )
 
@@ -262,3 +263,30 @@ class TestCrossSolverProperties:
         assert s.problem == MVC and s.algorithm == "greedy"
         assert s.runtime >= 0.0 and not s.restricted
         assert exact_solve(triangle, MVC).optimal is True
+
+
+class TestSolveDispatch:
+    def test_matches_direct_calls(self):
+        g = random_graph(14, 0.3, 2)
+        cand = Candidates.from_ids(range(0, 14, 2), 14)
+        pairs = [
+            (solve(g, MVC, "greedy", cand), greedy_mvc(g, cand)),
+            (solve(g, MIS, "greedy"), greedy_mis(g)),
+            (solve(g, MVC, "local-search", seed=4), local_search_mvc(g, seed=4)),
+            (solve(g, MIS, "local-search", cand, seed=4),
+             local_search_mis(g, cand, seed=4)),
+            (solve(g, MIS, "exact", cand), exact_solve(g, MIS, cand)),
+        ]
+        for got, want in pairs:
+            assert (got.problem, got.algorithm) == (want.problem, want.algorithm)
+            assert got.nodes == want.nodes and got.restricted == want.restricted
+
+    def test_exact_time_limit_passed_through(self):
+        g = random_graph(120, 0.2, 1)
+        assert solve(g, MVC, "exact", time_limit=1e-4).optimal is False
+
+    def test_unknown_names_rejected(self, triangle):
+        with pytest.raises(ValueError, match="unknown solver 'tabu'"):
+            solve(triangle, MVC, "tabu")
+        with pytest.raises(ValueError, match="unknown problem 'vc'"):
+            solve(triangle, "vc", "greedy")

@@ -16,7 +16,6 @@ from prunesolve.training import (
     default_student_dims,
     degree_features,
     generate_labels,
-    good_candidates,
     load_labels,
     predict_good_nodes,
     recall,
@@ -320,11 +319,6 @@ class TestPrediction:
         good = predict_good_nodes(zero_params([1, 2]), path3,
                                   degree_features(path3))
         assert good.size == 3
-
-    def test_good_candidates_wraps_prediction(self, path3):
-        cand = good_candidates(zero_params([1, 2]), path3,
-                               degree_features(path3))
-        assert cand.good.size == 3
 
     def test_recall_cases(self):
         truth = manual_labels("mvc", [1, 0, 1, 0], [0, 1])
