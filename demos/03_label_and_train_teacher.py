@@ -19,7 +19,6 @@ from prunesolve.training import (
     degree_features,
     generate_labels,
     predict_good_nodes,
-    recall,
     train_teacher,
 )
 
@@ -55,7 +54,10 @@ print(f"epoch {last[0]}: train {last[1]:.2f}  val {last[2]:.2f}")
 # pruned solver can only use nodes the network kept.
 good = predict_good_nodes(result.params, g, x)
 print(f"\npredicted good nodes: {good.size}/{g.n}")
-print("recall on validation nodes:", round(recall(good, labels, "val"), 4))
+val = labels.val_ids
+val_pos = labels.labels[val] == 1
+val_recall = (good.mask[val] & val_pos).sum() / val_pos.sum()
+print("recall on validation nodes:", round(float(val_recall), 4))
 
 # Each layer sees a node's own degree, the mean degree of its neighbors,
 # and a bias, so the network can learn a degree threshold instead of

@@ -6,92 +6,15 @@ solvers then run restricted to those nodes. The package provides the graph
 container and generator, the solvers (greedy, local search, exact), the
 network engine with manual gradients, the training/distillation/boosting
 loop, and a benchmarking pipeline comparing pruned against full-space runs.
+
+Only the pipeline entry points are exported here; everything else is
+imported from its module (``prunesolve.graph``, ``prunesolve.solvers``,
+``prunesolve.gcn``, ``prunesolve.training``, ``prunesolve.bench``).
 """
 
-from .graph import (
-    EdgeListParseError,
-    EmptyGraphError,
-    Graph,
-    NodeSet,
-    derive_seed,
-    dump_edge_list,
-    generate_ba,
-    load_edge_list,
-    make_rng,
-)
-from .solvers import (
-    MIS,
-    MVC,
-    Candidates,
-    Solution,
-    ValidationReport,
-    coverage,
-    exact_solve,
-    format_solution,
-    greedy_mis,
-    greedy_mvc,
-    local_search_mis,
-    local_search_mvc,
-    validate_solution,
-)
-from .gcn import (
-    AdamState,
-    GcnParams,
-    adam_init,
-    adam_step,
-    backward,
-    forward,
-    forward_train,
-    init_params,
-    kd_loss,
-    load_params,
-    save_params,
-    softmax,
-    supervised_loss,
-)
-from .training import (
-    BoostWeights,
-    LabelSet,
-    StudentConfig,
-    TeacherConfig,
-    TrainResult,
-    TrainingDivergedError,
-    boost_weights,
-    degree_features,
-    generate_labels,
-    load_labels,
-    predict_good_nodes,
-    recall,
-    save_labels,
-    train_student,
-    train_teacher,
-)
-from .bench import (
-    BenchReport,
-    BenchRow,
-    GraphSpec,
-    PipelineConfig,
-    PipelineError,
-    emit_report,
-    load_config,
-    run_pipeline,
-    speedup,
-)
+from .bench import GraphSpec, PipelineConfig, emit_report, run_pipeline
+from .solvers import solve
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamState", "BenchReport", "BenchRow", "BoostWeights", "Candidates",
-    "EdgeListParseError", "EmptyGraphError", "GcnParams", "Graph",
-    "GraphSpec", "LabelSet", "MIS", "MVC", "NodeSet", "PipelineConfig",
-    "PipelineError", "Solution", "StudentConfig", "TeacherConfig",
-    "TrainResult", "TrainingDivergedError", "ValidationReport", "adam_init",
-    "adam_step", "backward", "boost_weights", "coverage", "degree_features",
-    "derive_seed", "dump_edge_list", "emit_report", "exact_solve", "forward",
-    "forward_train", "format_solution", "generate_ba", "generate_labels",
-    "greedy_mis", "greedy_mvc", "init_params", "kd_loss", "load_config",
-    "load_edge_list", "load_labels", "load_params", "local_search_mis",
-    "local_search_mvc", "make_rng", "predict_good_nodes", "recall",
-    "run_pipeline", "save_labels", "save_params", "softmax", "speedup",
-    "supervised_loss", "train_student", "train_teacher", "validate_solution",
-]
+__all__ = ["GraphSpec", "PipelineConfig", "emit_report", "run_pipeline", "solve"]

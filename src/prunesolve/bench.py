@@ -19,15 +19,17 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import gcn
-from .graph import Graph, derive_seed, generate_ba, load_edge_list
+from .graph import Graph, check_ba_args, derive_seed, generate_ba, load_edge_list
 from .solvers import (
     MVC,
     SOLVERS,
+    TIME_LIMIT,
     Candidates,
     coverage,
     solve,
@@ -35,6 +37,7 @@ from .solvers import (
     _norm_problem,
 )
 from .training import (
+    LABEL_ORACLE,
     StudentConfig,
     TeacherConfig,
     boost_weights,
@@ -92,6 +95,7 @@ class GraphSpec:
                 raise ValueError(
                     f"graph {self.name!r} needs either a path or all of n, m, seed"
                 )
+            check_ba_args(self.n, self.m, self.seed)
         elif has_params:
             raise ValueError(f"graph {self.name!r} has both a path and parameters")
 
@@ -107,12 +111,12 @@ class PipelineConfig:
     train_graph: GraphSpec
     test_graphs: list[GraphSpec]
     solvers: list[str]
-    label_oracle: str = "greedy"
+    label_oracle: str = LABEL_ORACLE
     recall_oracle: str | None = None  # None: same as label_oracle
     seed: int = 0
     teacher: TeacherConfig | None = None
     student: StudentConfig | None = None
-    exact_time_limit: float = 3600.0
+    exact_time_limit: float = TIME_LIMIT
     solver_repeats: int = 3
     inference_repeats: int = 5
 
@@ -126,11 +130,15 @@ class PipelineConfig:
             self.student = StudentConfig(seed=derive_seed(self.seed, "student"))
         if not self.solvers:
             raise ValueError("config needs at least one solver")
-        for s in self.solvers:
+        oracles = [self.label_oracle, self.recall_oracle or self.label_oracle]
+        for s in [*self.solvers, *oracles]:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}, expected one of {SOLVERS}")
         if not self.test_graphs:
             raise ValueError("config needs at least one test graph")
+        if not self.exact_time_limit > 0:
+            raise ValueError(
+                f"exact_time_limit must be > 0, got {self.exact_time_limit}")
         if self.solver_repeats < 1 or self.inference_repeats < 1:
             raise ValueError("repeat counts must be at least 1")
 
@@ -370,49 +378,52 @@ def emit_report(report: BenchReport, fmt: str, path) -> None:
         raise ValueError(f"unknown report format {fmt!r}, expected csv or json")
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse a JSON config mirroring PipelineConfig field for field.
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
-    Unknown keys are rejected so typos do not silently fall back to
-    defaults.
+
+def typed(value, hint, key: str):
+    """``value`` if it is a JSON value of the annotated type ``hint``, else a
+    ValueError naming ``key``. As in JSON, true and 2.7 are no integers and
+    an integer is a number (and stays an int). Lists are checked item by
+    item and become tuples where ``hint`` says so; dataclasses use _from_dict.
     """
-    with open(path) as f:
-        raw = json.load(f)
-    return config_from_dict(raw)
+    args, origin = typing.get_args(hint), typing.get_origin(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else typed(value, args[0], key)
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, value, key)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        return origin(typed(v, args[0], f"{key}[{i}]") for i, v in enumerate(value))
+    is_number = hint is float and isinstance(value, int)
+    if (isinstance(value, bool) != (hint is bool)
+            or not (is_number or isinstance(value, hint))):
+        raise ValueError(f"{key} must be {_KINDS[hint]}, got {value!r}")
+    return value
 
 
-def _check_keys(cls, raw: dict, context: str) -> None:
-    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+def _from_dict(cls, raw, key: str):
+    """Dataclass ``cls`` from a JSON object of its fields, each value checked
+    by ``typed``; unknown or missing keys and range errors from
+    ``cls.__post_init__`` raise a ValueError naming ``key``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{key} must be a JSON object, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(raw) - set(hints)
     if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"{key}: unknown keys {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        required = f.default is f.default_factory is dataclasses.MISSING
+        if required and f.name not in raw:
+            raise ValueError(f"{key}: missing required key {f.name!r}")
+    values = {k: typed(v, hints[k], f"{key}.{k}") for k, v in raw.items()}
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ValueError(f"{key}: {e}") from None
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    if not isinstance(raw, dict):
-        raise ValueError("config root must be a JSON object")
-    _check_keys(PipelineConfig, raw, "config")
-    for key in ("train_graph", "problem", "test_graphs", "solvers"):
-        if key not in raw:
-            raise ValueError(f"config: missing required key {key!r}")
-    raw = dict(raw)
-    _check_keys(GraphSpec, raw["train_graph"], "train_graph")
-    raw["train_graph"] = GraphSpec(**raw["train_graph"])
-    graphs = []
-    for i, g in enumerate(raw["test_graphs"]):
-        _check_keys(GraphSpec, g, f"test_graphs[{i}]")
-        graphs.append(GraphSpec(**g))
-    raw["test_graphs"] = graphs
-    if "teacher" in raw:
-        teacher = raw["teacher"]
-        _check_keys(TeacherConfig, teacher, "teacher")
-        raw["teacher"] = TeacherConfig(**{
-            **teacher,
-            "hidden_dims": tuple(teacher.get("hidden_dims", (128, 128, 128))),
-        })
-    if "student" in raw:
-        student = raw["student"]
-        _check_keys(StudentConfig, student, "student")
-        if student.get("hidden_dims") is not None:
-            student = {**student, "hidden_dims": tuple(student["hidden_dims"])}
-        raw["student"] = StudentConfig(**student)
-    return PipelineConfig(**raw)
+    """A PipelineConfig from its JSON form, every value checked up front."""
+    return _from_dict(PipelineConfig, raw, "config")

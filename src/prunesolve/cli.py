@@ -2,11 +2,16 @@
 
 Precedence for every option is defaults < --config file < explicit flags.
 A config file is a JSON object whose keys are the flag names with dashes
-replaced by underscores; unknown keys are rejected.
+replaced by underscores; unknown keys are rejected. Its values are type-
+and range-checked like the flags, with JSON types: 2.7 is no integer and
+"no" no boolean. `bench` instead reads a pipeline config, checked field by
+field against PipelineConfig (see bench.config_from_dict).
 
-Exit codes: 0 success; 1 usage problems (bad flags, malformed or missing
-config, unreadable inputs); 2 failures while computing or writing results.
-Output paths default into $PRUNESOLVE_OUT_DIR (current directory if unset).
+Exit codes: 0 success; 1 usage problems (bad flags, any bad option value
+from a flag or config file, malformed or missing config, unreadable
+inputs), found before any input is read or model trained; 2 failures while
+computing or writing results. Output paths default into $PRUNESOLVE_OUT_DIR
+(current directory if unset).
 """
 
 from __future__ import annotations
@@ -22,15 +27,25 @@ from .graph import (
     _BadRow,
     _int_rows_text,
     _read_int_rows,
+    check_ba_args,
     dump_edge_list,
     generate_ba,
     load_edge_list,
 )
-from .solvers import PROBLEMS, SOLVERS, Candidates, format_solution, solve
+from .solvers import (
+    PROBLEMS,
+    SOLVERS,
+    TIME_LIMIT,
+    Candidates,
+    format_solution,
+    solve,
+)
 from .training import (
+    LABEL_ORACLE,
     StudentConfig,
     TeacherConfig,
     boost_weights,
+    default_student_dims,
     generate_labels,
     load_labels,
     predict_good_nodes,
@@ -56,12 +71,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _out_dir() -> str:
-    return os.environ.get(OUT_DIR_ENV, ".")
-
-
 def _default_path(name: str) -> str:
-    return os.path.join(_out_dir(), name)
+    return os.path.join(os.environ.get(OUT_DIR_ENV, "."), name)
 
 
 def _load_config_file(path) -> dict:
@@ -77,82 +88,95 @@ def _load_config_file(path) -> dict:
     return raw
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """Apply the precedence defaults < config < flags.
+class _Type:
+    """One option's type and range, checked alike on flag text and on
+    config-file values.
 
-    Every argparse option is declared with default None so "flag given" is
-    detectable; this fills the gaps from the config file, then defaults.
+    Flag text is parsed with ``parse``; a config value must already have the
+    option's JSON type ``hint`` (see ``bench.typed``). Either value then goes
+    through ``rule``, which returns the value to use or raises ValueError.
     """
-    config = {}
-    if getattr(args, "config", None):
-        config = _load_config_file(args.config)
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise UsageError(
-                f"config file {args.config}: unknown keys {sorted(unknown)}"
-            )
-    eff = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            eff[key] = flag_value
-        elif key in config:
-            eff[key] = config[key]
-        else:
-            eff[key] = default
-    return eff
+
+    def __init__(self, hint, parse=None, rule=None):
+        self.hint, self.parse, self.rule = hint, parse or hint, rule
+        self.__name__ = hint.__name__  # argparse names the type in its errors
+
+    def __call__(self, text):
+        value = self.parse(text)  # a ValueError here is argparse's "invalid value"
+        try:
+            return self.check(value, "value")
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    def check(self, value, key: str):
+        value = bench_mod.typed(value, self.hint, key)
+        try:
+            return self.rule(value) if self.rule else value
+        except ValueError as e:
+            raise ValueError(f"{key} {e}") from None
 
 
-def _require(eff: dict, *keys: str) -> None:
+def _above(low, strict: bool):
+    def rule(value):
+        if value > low or (value == low and not strict):
+            return value
+        raise ValueError(f"must be {'>' if strict else '>='} {low}, got {value!r}")
+    return rule
+
+
+_STR, _INT, _FLOAT, _BOOL = _Type(str), _Type(int), _Type(float), _Type(bool)
+_SEED = _Type(int, rule=_above(0, strict=False))
+_POSITIVE = _Type(float, rule=_above(0, strict=True))
+_PROBLEM = _Type(str, rule=str.lower)  # case-insensitive, as the library reads it
+_DIMS = _Type(tuple[int, ...],
+              parse=lambda text: tuple(int(p) for p in text.split(",") if p.strip()))
+
+
+def _config_defaults(parser: argparse.ArgumentParser, path) -> dict:
+    """The config file's option values, each checked as its flag would be."""
+    raw = _load_config_file(path)
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = set(raw) - set(actions)
+    if unknown:
+        raise UsageError(f"config file {path}: unknown keys {sorted(unknown)}")
+    checked = {}
+    for key, value in raw.items():
+        action = actions[key]
+        kind = action.type or (_BOOL if action.nargs == 0 else _STR)
+        try:
+            value = kind.check(value, key)
+        except ValueError as e:
+            raise UsageError(f"config file {path}: {e}") from None
+        if action.choices and value not in action.choices:
+            raise UsageError(f"unknown {key} {value!r}, expected one of "
+                             f"{', '.join(action.choices)}")
+        checked[key] = value
+    return checked
+
+
+def _require(args, *keys: str) -> None:
     for key in keys:
-        if eff[key] is None:
+        if getattr(args, key) is None:
             raise UsageError(f"missing required option --{key.replace('_', '-')}")
 
 
-def _choice(key: str, value, choices):
-    """``value`` if it is one of ``choices``, else a usage error naming them.
-
-    Flags are checked by argparse; this catches values from a config file.
-    """
-    if value not in choices:
-        raise UsageError(
-            f"unknown {key} {value!r}, expected one of {', '.join(choices)}"
-        )
-    return value
-
-
-def _parse_hidden(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        dims = tuple(int(d) for d in value)
-    else:
-        try:
-            dims = tuple(int(p) for p in str(value).split(",") if p.strip())
-        except ValueError:
-            raise UsageError(f"bad hidden dims {value!r}; expected e.g. 32,32,32")
-    if not dims or any(d < 1 for d in dims):
-        raise UsageError(f"bad hidden dims {value!r}; widths must be >= 1")
-    return dims
-
-
-def _read_graph(path):
+def _checked(make, *args, **kwargs):
+    """``make(...)``, its ValueError for a bad argument made a usage error."""
     try:
-        return load_edge_list(path).graph
-    except FileNotFoundError:
-        raise UsageError(f"graph file not found: {path}") from None
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
-def _read_labels(path, problem=None):
+def _dims_text(dims) -> str:
+    return ",".join(map(str, dims))
+
+
+def _read(load, path, what: str):
     try:
-        return load_labels(path, problem=problem)
+        return load(path)
     except FileNotFoundError:
-        raise UsageError(f"label file not found: {path}") from None
-
-
-def _read_params(path):
-    try:
-        return gcn.load_params(path)
-    except FileNotFoundError:
-        raise UsageError(f"parameter file not found: {path}") from None
+        raise UsageError(f"{what} file not found: {path}") from None
 
 
 def _read_candidates(path, n: int) -> Candidates:
@@ -183,150 +207,105 @@ def _write_good_nodes(nodes, path) -> None:
 
 
 def _cmd_gen(args) -> int:
-    defaults = {"n": None, "m": 4, "seed": 0, "out": _default_path("graph.txt")}
-    eff = _merge(args, defaults)
-    _require(eff, "n")
-    g = generate_ba(int(eff["n"]), int(eff["m"]), int(eff["seed"]))
-    dump_edge_list(g, eff["out"])
-    print(f"wrote {eff['out']} ({g.n} nodes, {g.m} edges)")
+    _require(args, "n")
+    _checked(check_ba_args, args.n, args.m, args.seed)
+    g = generate_ba(args.n, args.m, args.seed)
+    dump_edge_list(g, args.out)
+    print(f"wrote {args.out} ({g.n} nodes, {g.m} edges)")
     return 0
 
 
 def _cmd_label(args) -> int:
-    defaults = {
-        "graph": None, "problem": None, "oracle": "greedy", "seed": 0,
-        "time_limit": 3600.0, "out": _default_path("labels.txt"),
-    }
-    eff = _merge(args, defaults)
-    _require(eff, "graph", "problem")
-    # problem names are case-insensitive, as the library reads them
-    problem = _choice("problem", str(eff["problem"]).lower(), PROBLEMS)
-    oracle = _choice("oracle", eff["oracle"], SOLVERS)
-    g = _read_graph(eff["graph"])
-    ls = generate_labels(g, problem, oracle, int(eff["seed"]),
-                         float(eff["time_limit"]))
-    save_labels(ls, eff["out"])
+    _require(args, "graph", "problem")
+    g = _read(load_edge_list, args.graph, "graph").graph
+    ls = generate_labels(g, args.problem, args.oracle, args.seed, args.time_limit)
+    save_labels(ls, args.out)
     ones = int(ls.labels.sum())
-    print(f"wrote {eff['out']} ({ones}/{g.n} nodes labeled 1)")
+    print(f"wrote {args.out} ({ones}/{g.n} nodes labeled 1)")
     return 0
 
 
 def _cmd_train_teacher(args) -> int:
-    defaults = {
-        "graph": None, "labels": None, "hidden": "128,128,128",
-        "epochs": 500, "lr": 1e-3, "dropout": 0.5, "seed": 0,
-        "out_params": _default_path("teacher.npz"),
-        "out_log": _default_path("teacher_log.csv"),
-    }
-    eff = _merge(args, defaults)
-    _require(eff, "graph", "labels")
-    g = _read_graph(eff["graph"])
-    ls = _read_labels(eff["labels"])
-    cfg = TeacherConfig(
-        hidden_dims=_parse_hidden(eff["hidden"]),
-        epochs=int(eff["epochs"]), lr=float(eff["lr"]),
-        dropout=float(eff["dropout"]), seed=int(eff["seed"]),
-    )
+    _require(args, "graph", "labels")
+    cfg = _checked(TeacherConfig, hidden_dims=args.hidden, epochs=args.epochs,
+                   lr=args.lr, dropout=args.dropout, seed=args.seed)
+    g = _read(load_edge_list, args.graph, "graph").graph
+    ls = _read(load_labels, args.labels, "label")
     result = train_teacher(g, ls, cfg)
-    gcn.save_params(result.params, eff["out_params"], seed=cfg.seed)
-    write_epoch_log(result.history, eff["out_log"])
-    print(f"wrote {eff['out_params']} (best epoch {result.best_epoch}, "
+    gcn.save_params(result.params, args.out_params, seed=cfg.seed)
+    write_epoch_log(result.history, args.out_log)
+    print(f"wrote {args.out_params} (best epoch {result.best_epoch}, "
           f"val loss {result.best_val_loss:.6f})")
     return 0
 
 
 def _cmd_train_student(args) -> int:
-    defaults = {
-        "graph": None, "labels": None, "teacher": None, "hidden": None,
-        "epochs": 1000, "lr": StudentConfig.lr, "dropout": 0.5, "kd_weight": 0.8,
-        "temperature": 1.0, "boost": True, "seed": 0,
-        "out_params": _default_path("student.npz"),
-        "out_log": _default_path("student_log.csv"),
-    }
-    eff = _merge(args, defaults)
-    _require(eff, "graph", "labels", "teacher")
-    g = _read_graph(eff["graph"])
-    ls = _read_labels(eff["labels"])
-    teacher = _read_params(eff["teacher"])
-    cfg = StudentConfig(
-        hidden_dims=_parse_hidden(eff["hidden"]) if eff["hidden"] else None,
-        epochs=int(eff["epochs"]), lr=float(eff["lr"]),
-        dropout=float(eff["dropout"]), kd_weight=float(eff["kd_weight"]),
-        temperature=float(eff["temperature"]), seed=int(eff["seed"]),
-    )
-    bw = boost_weights(teacher, g, ls) if eff["boost"] else None
+    _require(args, "graph", "labels", "teacher")
+    cfg = _checked(StudentConfig, hidden_dims=args.hidden, epochs=args.epochs,
+                   lr=args.lr, dropout=args.dropout, kd_weight=args.kd_weight,
+                   temperature=args.temperature, seed=args.seed)
+    g = _read(load_edge_list, args.graph, "graph").graph
+    ls = _read(load_labels, args.labels, "label")
+    teacher = _read(gcn.load_params, args.teacher, "parameter")
+    bw = boost_weights(teacher, g, ls) if args.boost else None
     result = train_student(g, ls, teacher, bw, cfg)
-    gcn.save_params(result.params, eff["out_params"], seed=cfg.seed)
-    write_epoch_log(result.history, eff["out_log"])
-    mode = "boosted" if eff["boost"] else "distillation-only"
-    print(f"wrote {eff['out_params']} ({mode}, best epoch {result.best_epoch}, "
+    gcn.save_params(result.params, args.out_params, seed=cfg.seed)
+    write_epoch_log(result.history, args.out_log)
+    mode = "boosted" if args.boost else "distillation-only"
+    print(f"wrote {args.out_params} ({mode}, best epoch {result.best_epoch}, "
           f"val loss {result.best_val_loss:.6f})")
     return 0
 
 
 def _cmd_prune(args) -> int:
-    defaults = {
-        "params": None, "graph": None, "seed": 0,
-        "out": _default_path("good_nodes.txt"),
-    }
-    eff = _merge(args, defaults)
-    _require(eff, "params", "graph")
-    g = _read_graph(eff["graph"])
-    params = _read_params(eff["params"])
+    _require(args, "params", "graph")
+    g = _read(load_edge_list, args.graph, "graph").graph
+    params = _read(gcn.load_params, args.params, "parameter")
     good = predict_good_nodes(params, g)
-    _write_good_nodes(good, eff["out"])
-    print(f"wrote {eff['out']} ({good.size}/{g.n} good nodes)")
+    _write_good_nodes(good, args.out)
+    print(f"wrote {args.out} ({good.size}/{g.n} good nodes)")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    defaults = {
-        "graph": None, "problem": None, "solver": None, "candidates": "all",
-        "seed": 0, "time_limit": 3600.0,
-    }
-    eff = _merge(args, defaults)
-    _require(eff, "graph", "problem", "solver")
-    problem = _choice("problem", str(eff["problem"]).lower(), PROBLEMS)
-    solver = _choice("solver", eff["solver"], SOLVERS)
-    g = _read_graph(eff["graph"])
-    cand = _read_candidates(eff["candidates"], g.n)
-    sol = solve(g, problem, solver, cand, int(eff["seed"]),
-                float(eff["time_limit"]))
+    _require(args, "graph", "problem", "solver")
+    g = _read(load_edge_list, args.graph, "graph").graph
+    cand = _read_candidates(args.candidates, g.n)
+    sol = solve(g, args.problem, args.solver, cand, args.seed, args.time_limit)
     sys.stdout.write(format_solution(g, sol))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    defaults = {
-        "jobs": 1, "seed": None,
-        "out_csv": _default_path("bench.csv"),
-        "out_json": _default_path("bench.json"),
-    }
-    if not getattr(args, "config", None):
+    if not args.config:
         raise UsageError("bench needs --config pointing at a pipeline JSON file")
     raw = _load_config_file(args.config)
-    eff = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        eff[key] = flag_value if flag_value is not None else default
-    if eff["seed"] is not None:
-        raw["seed"] = int(eff["seed"])
-    try:
-        cfg = bench_mod.config_from_dict(raw)
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"config file {args.config}: {e}") from None
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    cfg = _checked(bench_mod.config_from_dict, raw)
     report = bench_mod.run_pipeline(
-        cfg, jobs=int(eff["jobs"]),
-        log=lambda msg: print(msg, file=sys.stderr),
+        cfg, jobs=args.jobs, log=lambda msg: print(msg, file=sys.stderr),
     )
-    bench_mod.emit_report(report, "csv", eff["out_csv"])
-    bench_mod.emit_report(report, "json", eff["out_json"])
-    print(f"wrote {eff['out_csv']} and {eff['out_json']} ({len(report.rows)} rows)")
+    bench_mod.emit_report(report, "csv", args.out_csv)
+    bench_mod.emit_report(report, "json", args.out_json)
+    print(f"wrote {args.out_csv} and {args.out_json} ({len(report.rows)} rows)")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Parser assembly: each option's type, range and default are declared here
+# once; config-file values are checked by the same types.
+
+
+class _Help(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows every declared default; hidden widths as on the command line."""
+
+    def _get_help_string(self, action):
+        if action.default is None or "(default" in action.help:
+            return action.help
+        if isinstance(action.default, tuple):
+            return f"{action.help} (default: {_dims_text(action.default)})"
+        return super()._get_help_string(action)
 
 
 def build_parser() -> _Parser:
@@ -336,86 +315,92 @@ def build_parser() -> _Parser:
         epilog=f"Option precedence: defaults < --config JSON < flags. "
                f"Default output directory: ${OUT_DIR_ENV} or '.'.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, seed=0):
         p = sub.add_parser(name, help=help_text, description=help_text,
-                           epilog="Precedence: defaults < --config < flags.")
-        p.set_defaults(func=func)
+                           epilog="Precedence: defaults < --config < flags.",
+                           formatter_class=_Help)
+        p.set_defaults(func=func, command_parser=p)
         p.add_argument("--config", help="JSON file of option values")
-        p.add_argument("--seed", type=int, help="master random seed (default: 0)")
+        p.add_argument("--seed", type=_SEED, default=seed, help="master random seed"
+                       + (" (default: the config's)" if seed is None else ""))
         return p
 
+    def out(p, flag, name, help_text):
+        p.add_argument(flag, default=_default_path(name), help=help_text)
+
+    def training(p, cfg):
+        p.add_argument("--graph", help="edge-list path (required)")
+        p.add_argument("--labels", help="label file path (required)")
+        p.add_argument("--epochs", type=_INT, default=cfg.epochs,
+                       help="training epochs")
+        p.add_argument("--lr", type=_FLOAT, default=cfg.lr, help="learning rate")
+        p.add_argument("--dropout", type=_FLOAT, default=cfg.dropout,
+                       help="dropout rate")
+
     p = add("gen", _cmd_gen, "Generate a preferential-attachment graph edge list.")
-    p.add_argument("--n", type=int, help="number of nodes (required)")
-    p.add_argument("--m", type=int, help="edges added per new node (default: 4)")
-    p.add_argument("--out", help="output edge-list path (default: graph.txt)")
+    p.add_argument("--n", type=_INT, help="number of nodes (required)")
+    p.add_argument("--m", type=_INT, default=4, help="edges added per new node")
+    out(p, "--out", "graph.txt", "output edge-list path")
 
     p = add("label", _cmd_label, "Label a graph's nodes with a solver's solution.")
     p.add_argument("--graph", help="edge-list path (required)")
-    p.add_argument("--problem", choices=PROBLEMS, help="problem (required)")
-    p.add_argument("--oracle", choices=SOLVERS,
-                   help="labeling solver (default: greedy)")
-    p.add_argument("--time-limit", type=float, dest="time_limit",
-                   help="exact-oracle time limit seconds (default: 3600)")
-    p.add_argument("--out", help="output label path (default: labels.txt)")
+    p.add_argument("--problem", type=_PROBLEM, choices=PROBLEMS,
+                   help="problem (required)")
+    p.add_argument("--oracle", choices=SOLVERS, default=LABEL_ORACLE,
+                   help="labeling solver")
+    p.add_argument("--time-limit", type=_POSITIVE, default=TIME_LIMIT,
+                   help="exact-oracle time limit in seconds")
+    out(p, "--out", "labels.txt", "output label path")
 
-    p = add("train-teacher", _cmd_train_teacher, "Train the wide teacher network.")
-    p.add_argument("--graph", help="edge-list path (required)")
-    p.add_argument("--labels", help="label file path (required)")
-    p.add_argument("--hidden", help="hidden widths (default: 128,128,128)")
-    p.add_argument("--epochs", type=int, help="training epochs (default: 500)")
-    p.add_argument("--lr", type=float, help="learning rate (default: 0.001)")
-    p.add_argument("--dropout", type=float, help="dropout rate (default: 0.5)")
-    p.add_argument("--out-params", dest="out_params",
-                   help="parameter output (default: teacher.npz)")
-    p.add_argument("--out-log", dest="out_log",
-                   help="epoch CSV log (default: teacher_log.csv)")
+    p = add("train-teacher", _cmd_train_teacher, "Train the wide teacher network.",
+            seed=TeacherConfig.seed)
+    training(p, TeacherConfig)
+    p.add_argument("--hidden", type=_DIMS, default=TeacherConfig.hidden_dims,
+                   help="hidden widths")
+    out(p, "--out-params", "teacher.npz", "parameter output")
+    out(p, "--out-log", "teacher_log.csv", "epoch CSV log")
 
     p = add("train-student", _cmd_train_student,
-            "Distill the compact student network from a teacher.")
-    p.add_argument("--graph", help="edge-list path (required)")
-    p.add_argument("--labels", help="label file path (required)")
+            "Distill the compact student network from a teacher.",
+            seed=StudentConfig.seed)
+    training(p, StudentConfig)
     p.add_argument("--teacher", help="teacher parameter file (required)")
-    p.add_argument("--hidden",
-                   help="hidden widths (default: 32,32,32 for mvc, 32,32 for mis)")
-    p.add_argument("--epochs", type=int, help="training epochs (default: 1000)")
-    p.add_argument("--lr", type=float,
-                   help=f"learning rate (default: {StudentConfig.lr:g})")
-    p.add_argument("--dropout", type=float, help="dropout rate (default: 0.5)")
-    p.add_argument("--kd-weight", type=float, dest="kd_weight",
-                   help="distillation weight in the combined loss (default: 0.8)")
-    p.add_argument("--temperature", type=float,
-                   help="distillation temperature (default: 1)")
-    p.add_argument("--boost", action=argparse.BooleanOptionalAction,
-                   help="weight the supervised term by boosting (default: on)")
-    p.add_argument("--out-params", dest="out_params",
-                   help="parameter output (default: student.npz)")
-    p.add_argument("--out-log", dest="out_log",
-                   help="epoch CSV log (default: student_log.csv)")
+    p.add_argument("--hidden", type=_DIMS, default=StudentConfig.hidden_dims,
+                   help="hidden widths (default: "
+                        + " for mvc, ".join(_dims_text(default_student_dims(q))
+                                            for q in PROBLEMS) + " for mis)")
+    p.add_argument("--kd-weight", type=_FLOAT, default=StudentConfig.kd_weight,
+                   help="distillation weight in the combined loss")
+    p.add_argument("--temperature", type=_FLOAT, default=StudentConfig.temperature,
+                   help="distillation temperature")
+    p.add_argument("--boost", action=argparse.BooleanOptionalAction, default=True,
+                   help="weight the supervised term by boosting")
+    out(p, "--out-params", "student.npz", "parameter output")
+    out(p, "--out-log", "student_log.csv", "epoch CSV log")
 
     p = add("prune", _cmd_prune, "Predict good nodes with trained parameters.")
     p.add_argument("--params", help="parameter file (required)")
     p.add_argument("--graph", help="edge-list path (required)")
-    p.add_argument("--out", help="good-node list output (default: good_nodes.txt)")
+    out(p, "--out", "good_nodes.txt", "good-node list output")
 
     p = add("solve", _cmd_solve, "Run one solver and print the solution.")
     p.add_argument("--graph", help="edge-list path (required)")
-    p.add_argument("--problem", choices=PROBLEMS, help="problem (required)")
-    p.add_argument("--solver", choices=SOLVERS,
-                   help="algorithm (required)")
-    p.add_argument("--candidates",
-                   help="good-node file restricting the search, or 'all' (default)")
-    p.add_argument("--time-limit", type=float, dest="time_limit",
-                   help="exact-solver time limit seconds (default: 3600)")
+    p.add_argument("--problem", type=_PROBLEM, choices=PROBLEMS,
+                   help="problem (required)")
+    p.add_argument("--solver", choices=SOLVERS, help="algorithm (required)")
+    p.add_argument("--candidates", default="all",
+                   help="good-node file restricting the search, or 'all'")
+    p.add_argument("--time-limit", type=_POSITIVE, default=TIME_LIMIT,
+                   help="exact-solver time limit in seconds")
 
-    p = add("bench", _cmd_bench, "Run the full pipeline from a JSON config.")
-    p.add_argument("--jobs", type=int,
-                   help="parallel solver cells (default: 1)")
-    p.add_argument("--out-csv", dest="out_csv",
-                   help="CSV report path (default: bench.csv)")
-    p.add_argument("--out-json", dest="out_json",
-                   help="JSON report path (default: bench.json)")
+    p = add("bench", _cmd_bench, "Run the full pipeline from a JSON config.",
+            seed=None)
+    p.add_argument("--jobs", type=_Type(int, rule=_above(1, strict=False)), default=1,
+                   help="parallel solver cells")
+    out(p, "--out-csv", "bench.csv", "CSV report path")
+    out(p, "--out-json", "bench.json", "JSON report path")
 
     return parser
 
@@ -426,11 +411,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        print("prunesolve: error: a command is required", file=sys.stderr)
-        return 1
     try:
+        if args.config and args.command != "bench":  # bench's is a pipeline config
+            sub = args.command_parser
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"prunesolve {args.command}: error: {e}", file=sys.stderr)

@@ -227,6 +227,16 @@ class NodeSet:
         return f"NodeSet(size={self.size}, universe={self.universe})"
 
 
+def check_ba_args(n: int, m: int, seed: int) -> None:
+    """Raise ValueError, naming the argument, unless ``generate_ba`` accepts them."""
+    if m < 1:
+        raise ValueError("attachment count m must be >= 1")
+    if n <= m:
+        raise ValueError(f"need n > m, got n={n}, m={m}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def generate_ba(n: int, m: int, seed: int) -> Graph:
     """Barabasi-Albert graph: clique on the first ``m`` nodes, then each new
     node attaches to ``m`` distinct existing nodes drawn with probability
@@ -235,10 +245,7 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     Total edge count is always ``m*(m-1)/2 + m*(n-m)``. Deterministic for a
     given seed.
     """
-    if m < 1:
-        raise ValueError("attachment count m must be >= 1")
-    if n <= m:
-        raise ValueError(f"need n > m, got n={n}, m={m}")
+    check_ba_args(n, m, seed)
     rng = make_rng(seed)
     edges = []
     # endpoint multiset: drawing uniformly from it is degree-proportional

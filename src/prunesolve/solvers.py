@@ -23,6 +23,7 @@ from .graph import Graph, NodeSet, make_rng
 MVC = "mvc"
 MIS = "mis"
 PROBLEMS = (MVC, MIS)
+TIME_LIMIT = 3600.0  # seconds; the default exact-solver budget
 
 
 def _norm_problem(problem: str) -> str:
@@ -539,7 +540,7 @@ def exact_solve(
     g: Graph,
     problem: str,
     cand: Candidates | None = None,
-    time_limit: float = 3600.0,
+    time_limit: float = TIME_LIMIT,
 ) -> Solution:
     """Exact branch-and-bound solve: one minimum vertex cover search serves
     both problems.
@@ -631,7 +632,7 @@ def solve(
     solver: str,
     cand: Candidates | None = None,
     seed: int = 0,
-    time_limit: float = 3600.0,
+    time_limit: float = TIME_LIMIT,
 ) -> Solution:
     """Run the named solver for the named problem.
 

@@ -20,7 +20,10 @@ import numpy as np
 from . import gcn
 from .gcn import GcnParams
 from .graph import Graph, NodeSet, derive_seed, make_rng
-from .solvers import MVC, _norm_problem, solve
+from .solvers import MVC, TIME_LIMIT, _norm_problem, solve
+
+
+LABEL_ORACLE = "greedy"  # the default solver whose solutions become labels
 
 
 class TrainingDivergedError(RuntimeError):
@@ -54,23 +57,9 @@ class LabelSet:
     def n(self) -> int:
         return len(self.labels)
 
-    def onehot(self) -> np.ndarray:
-        out = np.zeros((self.n, 2), dtype=np.float64)
-        out[np.arange(self.n), self.labels] = 1.0
-        return out
 
-    def ids_for(self, which: str) -> np.ndarray:
-        if which == "train":
-            return self.train_ids
-        if which == "val":
-            return self.val_ids
-        if which == "all":
-            return np.arange(self.n, dtype=np.int64)
-        raise ValueError(f"unknown mask {which!r}, expected train/val/all")
-
-
-def generate_labels(g: Graph, problem: str, oracle: str = "greedy",
-                    seed: int = 0, time_limit: float = 3600.0) -> LabelSet:
+def generate_labels(g: Graph, problem: str, oracle: str = LABEL_ORACLE,
+                    seed: int = 0, time_limit: float = TIME_LIMIT) -> LabelSet:
     """Run a full-space solver and label its solution nodes 1, others 0.
 
     The train/val split is a seeded uniform 50/50 shuffle. The exact oracle
@@ -171,13 +160,29 @@ def degree_features(g: Graph) -> np.ndarray:
 # Training loops
 
 
+def _check_fit_config(cfg) -> None:
+    """Range rules shared by the teacher and student configs."""
+    dims = cfg.hidden_dims
+    if dims is not None and (not dims or min(dims) < 1):
+        raise ValueError(f"hidden_dims must be one or more widths >= 1, got {dims}")
+    if cfg.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {cfg.epochs}")
+    if not cfg.lr > 0:
+        raise ValueError(f"lr must be > 0, got {cfg.lr}")
+    if not 0 <= cfg.dropout < 1:
+        raise ValueError(f"dropout must be in [0, 1), got {cfg.dropout}")
+
+
 @dataclass
 class TeacherConfig:
-    hidden_dims: tuple = (128, 128, 128)
+    hidden_dims: tuple[int, ...] = (128, 128, 128)
     epochs: int = 500
     lr: float = 1e-3
     dropout: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        _check_fit_config(self)
 
 
 def default_student_dims(problem: str) -> tuple:
@@ -187,13 +192,20 @@ def default_student_dims(problem: str) -> tuple:
 
 @dataclass
 class StudentConfig:
-    hidden_dims: tuple | None = None  # None: per-problem default
+    hidden_dims: tuple[int, ...] | None = None  # None: per-problem default
     epochs: int = 1000
     lr: float = 1e-3
     dropout: float = 0.5
     kd_weight: float = 0.8
     temperature: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        _check_fit_config(self)
+        if not 0 <= self.kd_weight <= 1:
+            raise ValueError(f"kd_weight must be in [0, 1], got {self.kd_weight}")
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
 
 @dataclass
@@ -327,8 +339,6 @@ def train_student(g: Graph, labels: LabelSet, teacher: GcnParams,
     logits are computed once in eval mode.
     """
     cfg = cfg or StudentConfig()
-    if not 0.0 <= cfg.kd_weight <= 1.0:
-        raise ValueError("kd_weight must be in [0, 1]")
     if x is None:
         x = degree_features(g)
     hidden = cfg.hidden_dims or default_student_dims(labels.problem)
@@ -368,13 +378,11 @@ def predict_good_nodes(params: GcnParams, g: Graph,
     return NodeSet((logits[:, 1] >= logits[:, 0]))
 
 
-def recall(pred: NodeSet, truth: LabelSet, which: str = "all") -> float:
-    """True positives over actual positives on the chosen mask; 1.0 when the
-    mask has no positives."""
-    ids = truth.ids_for(which)
-    pos = truth.labels[ids] == 1
+def recall(pred: NodeSet, truth: LabelSet) -> float:
+    """True positives over actual positives; 1.0 when there are no positives."""
+    pos = truth.labels == 1
     total = int(pos.sum())
     if total == 0:
         return 1.0
-    tp = int((pred.mask[ids] & pos).sum())
+    tp = int((pred.mask & pos).sum())
     return tp / total

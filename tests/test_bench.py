@@ -3,6 +3,7 @@
 import csv
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from prunesolve.bench import (
     PipelineError,
     config_from_dict,
     emit_report,
-    load_config,
     run_pipeline,
     speedup,
 )
@@ -239,19 +239,38 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="teacher"):
             config_from_dict({**base, "teacher": {"epochz": 5}})
 
-    def test_load_config_file(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({
-            "problem": "mvc",
-            "train_graph": {"name": "t", "n": 40, "m": 2, "seed": 0},
-            "test_graphs": [{"name": "u", "n": 40, "m": 2, "seed": 1}],
-            "solvers": ["greedy", "exact"],
-            "seed": 3,
-        }))
-        cfg = load_config(p)
-        assert cfg.solvers == ["greedy", "exact"]
-        assert cfg.seed == 3
-
     def test_root_must_be_object(self):
         with pytest.raises(ValueError):
             config_from_dict([1, 2, 3])
+
+    BASE = {
+        "problem": "mvc",
+        "train_graph": {"name": "t", "n": 40, "m": 2, "seed": 0},
+        "test_graphs": [{"name": "u", "n": 40, "m": 2, "seed": 1}],
+        "solvers": ["greedy"],
+    }
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seed": True}, "config.seed must be an integer, got True"),
+        ({"exact_time_limit": "60"}, "config.exact_time_limit must be a number"),
+        ({"solvers": "greedy"}, "config.solvers must be a list"),
+        ({"label_oracle": "tabu"}, "config: unknown solver 'tabu'"),
+        ({"train_graph": {"name": "t", "n": 3, "m": 4, "seed": 0}},
+         "config.train_graph: need n > m, got n=3, m=4"),
+        ({"test_graphs": [{"name": "u", "n": 40, "m": 2, "seed": -1}]},
+         "config.test_graphs[0]: seed must be >= 0, got -1"),
+        ({"student": {"kd_weight": 1.5}},
+         "config.student: kd_weight must be in [0, 1], got 1.5"),
+        ({"teacher": {"hidden_dims": [8, 0]}},
+         "config.teacher: hidden_dims must be one or more widths >= 1"),
+    ], ids=["bool-int", "str-float", "str-list", "oracle", "n-m", "graph-seed",
+            "kd-weight", "widths"])
+    def test_bad_values_name_their_key(self, change, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict({**self.BASE, **change})
+
+    def test_values_keep_their_json_type(self):
+        # an int for a float field stays an int, so the report echoes it as given
+        cfg = config_from_dict({**self.BASE, "exact_time_limit": 60,
+                                "recall_oracle": None})
+        assert type(cfg.exact_time_limit) is int and cfg.recall_oracle is None

@@ -301,6 +301,56 @@ class TestBench:
         assert run("bench", "--config", str(path)) == 1
 
 
+PIPELINE = {
+    "problem": "mvc",
+    "train_graph": {"name": "t", "n": 60, "m": 2, "seed": 1},
+    "test_graphs": [{"name": "u", "n": 80, "m": 2, "seed": 2}],
+    "solvers": ["greedy"],
+    "teacher": {"hidden_dims": [8], "epochs": 20},
+    "student": {"hidden_dims": [8], "epochs": 20},
+}
+SOLVE = ["solve", "--graph", "g.txt", "--problem", "mvc"]
+
+
+class TestBadValues:
+    """Every bad option value, from a flag or a config file, exits 1 naming
+    its key before any input is read: the input files here do not exist."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        ([*SOLVE, "--solver", "greedy"], {"seed": "abc"},
+         "seed must be an integer, got 'abc'"),
+        (["gen"], {"n": "many"}, "n must be an integer, got 'many'"),
+        ([*SOLVE, "--solver", "exact", "--time-limit", "-1"], None,
+         "argument --time-limit: value must be > 0, got -1.0"),
+        (["gen", "--n", "3", "--m", "4"], None, "need n > m, got n=3, m=4"),
+        (["gen", "--n", "20", "--seed", "-1"], None,
+         "argument --seed: value must be >= 0, got -1"),
+        (["gen", "--n", "30"], {"m": 2.7}, "m must be an integer, got 2.7"),
+        (["train-student", "--graph", "g.txt", "--labels", "l.txt",
+          "--teacher", "t.npz"], {"boost": "no"},
+         "boost must be true or false, got 'no'"),
+        (["bench"], {**PIPELINE, "solver_repeats": 1.5},
+         "solver_repeats must be an integer, got 1.5"),
+        (["bench"], {**PIPELINE, "teacher": {"epochs": "5"}},
+         "teacher.epochs must be an integer, got '5'"),
+        (["bench"], {**PIPELINE, "exact_time_limit": -1},
+         "exact_time_limit must be > 0, got -1"),
+    ], ids=["solve-seed", "gen-n", "solve-time-limit", "gen-n-m", "gen-seed",
+            "gen-m", "student-boost", "bench-repeats", "bench-epochs",
+            "bench-time-limit"])
+    def test_exits_1_before_any_work(self, workdir, capsys, argv, config, message):
+        if config is not None:
+            (workdir / "cfg.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", "cfg.json"]
+        before = sorted(workdir.iterdir())
+        capsys.readouterr()
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert message in err
+        assert out == "" and "phase 1" not in err
+        assert sorted(workdir.iterdir()) == before
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self, workdir):
         assert run() == 1
@@ -315,3 +365,18 @@ class TestTopLevel:
     def test_subcommand_help_exits_zero(self, workdir, capsys):
         assert run("gen", "--help") == 0
         assert "--seed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, shown", [
+        ("gen", "edges added per new node (default: 4)"),
+        ("label", "time limit in seconds (default: 3600.0)"),
+        ("train-teacher", "hidden widths (default: 128,128,128)"),
+        ("train-student", "learning rate (default: 0.001)"),
+        ("prune", "good-node list output (default: {workdir}/good_nodes.txt)"),
+        ("solve", "or 'all' (default: all)"),
+        ("bench", "parallel solver cells (default: 1)"),
+    ])
+    def test_help_shows_declared_default(self, workdir, capsys, monkeypatch,
+                                         command, shown):
+        monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside the path
+        assert run(command, "--help") == 0
+        assert shown.format(workdir=workdir) in capsys.readouterr().out

@@ -55,18 +55,6 @@ class TestLabelSet:
             LabelSet("mvc", "greedy", np.array([0, 2], np.int8),
                      np.array([0]), np.array([1]))
 
-    def test_onehot(self):
-        ls = manual_labels("mvc", [1, 0, 1], [0, 1])
-        assert np.array_equal(ls.onehot(), [[0, 1], [1, 0], [0, 1]])
-
-    def test_ids_for(self):
-        ls = manual_labels("mvc", [1, 0, 1], [2, 0])
-        assert list(ls.ids_for("train")) == [0, 2]
-        assert list(ls.ids_for("val")) == [1]
-        assert list(ls.ids_for("all")) == [0, 1, 2]
-        with pytest.raises(ValueError):
-            ls.ids_for("test")
-
 
 class TestGenerateLabels:
     def test_star_mvc_labels_center_only(self, star5):
@@ -327,7 +315,6 @@ class TestPrediction:
         assert recall(NodeSet.empty(n), truth) == 0.0
         assert recall(NodeSet.full(n), truth) == 1.0
         assert recall(NodeSet.from_ids([0], n), truth) == 0.5
-        assert recall(NodeSet.from_ids([0], n), truth, "train") == 1.0
 
     def test_recall_without_positives_is_one(self):
         truth = manual_labels("mvc", [0, 0], [0])
