@@ -12,6 +12,7 @@ import numpy as np
 from prunesolve.graph import Graph, NodeSet, generate_ba
 from prunesolve.solvers import (
     Candidates,
+    coverage,
     exact_solve,
     format_solution,
     greedy_mis,
@@ -58,9 +59,9 @@ cand = Candidates.restrict(NodeSet(rng.random(ba.n) < 0.5))
 full = greedy_mvc(ba)
 part = greedy_mvc(ba, cand)
 print(f"\nBA-200 greedy MVC: full size {full.size} covers "
-      f"{full.covered_edges}/{ba.m} edges")
+      f"{round(coverage(ba, full) * ba.m)}/{ba.m} edges")
 print(f"              restricted size {part.size} covers "
-      f"{part.covered_edges}/{ba.m} edges")
+      f"{round(coverage(ba, part) * ba.m)}/{ba.m} edges")
 
 # Validation is independent of the solvers and names the first offending
 # edge or node, so a bad solution fails loudly.

@@ -15,7 +15,6 @@ check relies on.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -72,10 +71,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"phase {phase}: {message}")
         self.phase = phase
         self.detail = message
-
-    def __reduce__(self):
-        # keep (phase, message) so the exception survives process boundaries
-        return (PipelineError, (self.phase, self.detail))
 
 
 @dataclass(frozen=True)
@@ -178,11 +173,10 @@ def speedup(time_baseline: float, time_variant: float) -> float:
 
 
 def _run_cell(g: Graph, problem: str, solver: str, cand: Candidates,
-              seed: int, time_limit: float, repeats: int) -> dict:
+              seed: int, time_limit: float, repeats: int):
     """One (graph, solver, variant) measurement: repeated identical runs,
-    median wall time, validity check on the final solution."""
+    validity check on the final solution. Returns (solution, median time)."""
     times = []
-    sol = None
     for _ in range(repeats):
         sol = solve(g, problem, solver, cand, seed, time_limit)
         times.append(sol.runtime)
@@ -190,27 +184,23 @@ def _run_cell(g: Graph, problem: str, solver: str, cand: Candidates,
     if not report.ok:
         raise PipelineError("solve", f"{solver} produced an invalid solution: "
                                      + "; ".join(report.failures))
-    return {
-        "size": sol.size,
-        "coverage": coverage(g, sol) if problem == MVC else None,
-        "runtime": float(np.median(times)),
-        "timed_out": sol.optimal is False,
-    }
+    return sol, float(np.median(times))
 
 
-def run_pipeline(cfg: PipelineConfig, jobs: int = 1, log=None) -> BenchReport:
+def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
     """Execute all three phases and assemble the report.
 
-    ``jobs > 1`` runs independent (graph, solver, variant) cells in worker
-    processes; each cell stays single-threaded so its timing is meaningful.
-    Results are identical to a sequential run because every cell's seed is
-    derived from the config alone.
+    Solver cells run one after another in this process, so no timed run
+    shares the machine with another cell. Rows come grouped by test graph
+    (config order), then by solver, then by variant; every cell's seed is
+    derived from the config. Timeout notes follow all model notes.
     """
     def say(msg):
         if log:
             log(msg)
 
     notes = list(REPORT_NOTES)
+    timeout_notes = []
     problem = cfg.problem
 
     # phase 1: oracle labels on the training graph, teacher fit
@@ -223,8 +213,6 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1, log=None) -> BenchReport:
             time_limit=cfg.exact_time_limit,
         )
         teacher = train_teacher(train_g, labels, cfg.teacher)
-    except PipelineError:
-        raise
     except Exception as e:
         raise PipelineError("labels+teacher", str(e)) from e
 
@@ -240,8 +228,6 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1, log=None) -> BenchReport:
     # phase 3: per-test-graph prediction and solver runs
     rows: list[BenchRow] = []
     try:
-        cells = []
-        per_graph = []
         for spec in cfg.test_graphs:
             say(f"phase 3: benchmarking on {spec.name}")
             tg = spec.materialize()
@@ -261,82 +247,47 @@ def run_pipeline(cfg: PipelineConfig, jobs: int = 1, log=None) -> BenchReport:
                 seed=derive_seed(cfg.seed, "recall-labels", spec.name),
                 time_limit=cfg.exact_time_limit,
             )
-            info = {
-                "spec": spec,
-                "graph": tg,
-                "recall_teacher": recall(good_t, truth),
-                "recall_kd": recall(good_kd, truth),
-                "recall_student": recall(good_s, truth),
-                "infer_teacher_ms": gcn.time_inference(
+            shared = dict(
+                graph=spec.name, n=tg.n, m=tg.m, problem=problem,
+                recall_teacher=recall(good_t, truth),
+                recall_kd=recall(good_kd, truth),
+                recall_student=recall(good_s, truth),
+                infer_teacher_ms=gcn.time_inference(
                     tg, teacher.params, x, cfg.inference_repeats),
-                "infer_student_ms": gcn.time_inference(
+                infer_student_ms=gcn.time_inference(
                     tg, student.params, x, cfg.inference_repeats),
-                "cands": {
-                    "baseline": (Candidates.all(), 1.0),
-                    "pruned_pt": (Candidates.restrict(good_t), good_t.size / tg.n),
-                    "pruned": (Candidates.restrict(good_s), good_s.size / tg.n),
-                },
+            )
+            cands = {
+                "baseline": (Candidates.all(), 1.0),
+                "pruned_pt": (Candidates.restrict(good_t), good_t.size / tg.n),
+                "pruned": (Candidates.restrict(good_s), good_s.size / tg.n),
             }
-            per_graph.append(info)
             for solver in cfg.solvers:
                 for variant in VARIANTS:
-                    cand, _ = info["cands"][variant]
-                    cell_seed = derive_seed(cfg.seed, "solve", spec.name,
-                                            solver, variant)
-                    cells.append((info, solver, variant, cand, cell_seed))
-
-        results = {}
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                futs = {
-                    pool.submit(_run_cell, info["graph"], problem, solver,
-                                cand, cell_seed, cfg.exact_time_limit,
-                                cfg.solver_repeats): (id(info), solver, variant)
-                    for info, solver, variant, cand, cell_seed in cells
-                }
-                for fut, key in futs.items():
-                    results[key] = fut.result()
-        else:
-            for info, solver, variant, cand, cell_seed in cells:
-                results[(id(info), solver, variant)] = _run_cell(
-                    info["graph"], problem, solver, cand, cell_seed,
-                    cfg.exact_time_limit, cfg.solver_repeats,
-                )
-
-        for info in per_graph:
-            spec, tg = info["spec"], info["graph"]
-            for solver in cfg.solvers:
-                base = results[(id(info), solver, "baseline")]
-                if base["timed_out"]:
-                    notes.append(
-                        f"exact baseline on {spec.name} hit the time limit; "
-                        "best incumbent reported"
+                    cand, ratio = cands[variant]
+                    sol, runtime = _run_cell(
+                        tg, problem, solver, cand,
+                        derive_seed(cfg.seed, "solve", spec.name, solver, variant),
+                        cfg.exact_time_limit, cfg.solver_repeats,
                     )
-                for variant in VARIANTS:
-                    cell = results[(id(info), solver, variant)]
+                    if variant == "baseline":
+                        base_runtime = runtime
+                        if sol.optimal is False:
+                            timeout_notes.append(
+                                f"exact baseline on {spec.name} hit the time "
+                                "limit; best incumbent reported"
+                            )
                     rows.append(BenchRow(
-                        graph=spec.name,
-                        n=tg.n,
-                        m=tg.m,
-                        problem=problem,
-                        solver=solver,
-                        variant=variant,
-                        size=cell["size"],
-                        coverage=cell["coverage"],
-                        runtime_s=cell["runtime"],
-                        speedup=speedup(base["runtime"], cell["runtime"]),
-                        prune_ratio=info["cands"][variant][1],
-                        recall_teacher=info["recall_teacher"],
-                        recall_kd=info["recall_kd"],
-                        recall_student=info["recall_student"],
-                        infer_teacher_ms=info["infer_teacher_ms"],
-                        infer_student_ms=info["infer_student_ms"],
+                        solver=solver, variant=variant, size=sol.size,
+                        coverage=coverage(tg, sol) if problem == MVC else None,
+                        runtime_s=runtime, speedup=speedup(base_runtime, runtime),
+                        prune_ratio=ratio, **shared,
                     ))
     except PipelineError:
         raise
     except Exception as e:
         raise PipelineError("solve", str(e)) from e
-    return BenchReport(cfg, rows, notes)
+    return BenchReport(cfg, rows, notes + timeout_notes)
 
 
 # ---------------------------------------------------------------------------

@@ -283,9 +283,7 @@ def _cmd_bench(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = _checked(bench_mod.config_from_dict, raw)
-    report = bench_mod.run_pipeline(
-        cfg, jobs=args.jobs, log=lambda msg: print(msg, file=sys.stderr),
-    )
+    report = bench_mod.run_pipeline(cfg, log=lambda msg: print(msg, file=sys.stderr))
     bench_mod.emit_report(report, "csv", args.out_csv)
     bench_mod.emit_report(report, "json", args.out_json)
     print(f"wrote {args.out_csv} and {args.out_json} ({len(report.rows)} rows)")
@@ -397,8 +395,6 @@ def build_parser() -> _Parser:
 
     p = add("bench", _cmd_bench, "Run the full pipeline from a JSON config.",
             seed=None)
-    p.add_argument("--jobs", type=_Type(int, rule=_above(1, strict=False)), default=1,
-                   help="parallel solver cells")
     out(p, "--out-csv", "bench.csv", "CSV report path")
     out(p, "--out-json", "bench.json", "JSON report path")
 

@@ -75,7 +75,6 @@ class Solution:
     nodes: NodeSet
     algorithm: str
     runtime: float
-    covered_edges: int | None = None  # vertex cover only
     optimal: bool | None = None  # exact solver only
     restricted: bool = False
 
@@ -135,7 +134,7 @@ def validate_solution(g: Graph, s: Solution) -> ValidationReport:
                 failures.append(f"node {v} could be added: the set is not maximal")
         return ValidationReport(not failures, s.problem, failures)
     cov = coverage(g, s)
-    if not s.restricted and s.algorithm in ("greedy", "exact") and cov < 1.0:
+    if not s.restricted and cov < 1.0:
         e = g.edge_array()
         uncovered = ~(mask[e[:, 0]] | mask[e[:, 1]])
         u, v = e[int(np.flatnonzero(uncovered)[0])]
@@ -191,7 +190,6 @@ def greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
         nodes=NodeSet(in_cover),
         algorithm="greedy",
         runtime=time.perf_counter() - t0,
-        covered_edges=g.m - uncovered,
         restricted=not cand.is_all,
     )
 
@@ -239,8 +237,8 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
 
 
 def local_search_mvc(g: Graph, cand: Candidates | None = None, seed: int = 0) -> Solution:
-    """Local search for vertex cover: drop any node whose neighbors are all
-    in the solution, first improvement, rescanning in ascending id order.
+    """Local search for vertex cover: one ascending sweep drops every node
+    whose neighbors are all still in the solution.
 
     Full-space initialization adds both endpoints of uncovered edges in a
     seeded random order until everything is covered; restricted mode starts
@@ -260,27 +258,16 @@ def local_search_mvc(g: Graph, cand: Candidates | None = None, seed: int = 0) ->
                 in_s[v] = True
     else:
         in_s = cand.mask_for(g).copy()
-    # Removability only ever decays as the solution shrinks, so a rescan from
-    # the start after each removal visits the same nodes as continuing the
-    # ascending sweep; the outer loop's second pass just confirms fixpoint.
-    changed = True
-    while changed:
-        changed = False
-        for v in np.flatnonzero(in_s):
-            nbrs = g.neighbors(v)
-            if in_s[nbrs].all():
-                in_s[v] = False
-                changed = True
-    covered = g.m
-    if g.m:
-        e = g.edge_array()
-        covered = int(np.count_nonzero(in_s[e[:, 0]] | in_s[e[:, 1]]))
+    # Removability only ever decays as the solution shrinks, so a node kept
+    # by the sweep stays unremovable: one pass reaches the fixpoint.
+    for v in np.flatnonzero(in_s):
+        if in_s[g.neighbors(v)].all():
+            in_s[v] = False
     return Solution(
         problem=MVC,
         nodes=NodeSet(in_s),
         algorithm="local-search",
         runtime=time.perf_counter() - t0,
-        covered_edges=covered,
         restricted=not cand.is_all,
     )
 
@@ -569,31 +556,16 @@ def exact_solve(
     sys.setrecursionlimit(max(old_limit, 2 * g.n + 500))
     try:
         if problem == MVC:
-            if not restricted:
-                adj = _adj_from_mask(g, np.ones(g.n, dtype=bool))
-                core, optimal = _bb_mvc(adj, deadline)
-                nodes = core
-                covered = g.m
-            else:
-                outside_deg = g.count_in_mask(~eligible)
-                forced = eligible & (outside_deg > 0)
-                adj = _adj_from_mask(g, eligible & ~forced)
-                core, optimal = _bb_mvc(adj, deadline)
-                nodes = set(int(v) for v in np.flatnonzero(forced)) | core
-                if g.m:
-                    e = g.edge_array()
-                    covered = int(
-                        np.count_nonzero(eligible[e[:, 0]] | eligible[e[:, 1]])
-                    )
-                else:
-                    covered = 0
-            sol_nodes = NodeSet.from_ids(sorted(nodes), g.n)
+            # a candidate with a neighbor outside the candidates is the only
+            # way to cover that edge, so it is forced in (none in full space)
+            in_cover = eligible & (g.count_in_mask(~eligible) > 0)
+            cover, optimal = _bb_mvc(_adj_from_mask(g, eligible & ~in_cover), deadline)
+            in_cover[np.fromiter(cover, dtype=np.int64, count=len(cover))] = True
             return Solution(
                 problem=MVC,
-                nodes=sol_nodes,
+                nodes=NodeSet(in_cover),
                 algorithm="exact",
                 runtime=time.perf_counter() - t0,
-                covered_edges=covered,
                 optimal=optimal,
                 restricted=restricted,
             )

@@ -295,6 +295,11 @@ class TestBench:
     def test_bench_requires_config(self, workdir):
         assert run("bench") == 1
 
+    def test_jobs_flag_is_gone(self, workdir):
+        cfg = self.bench_config(workdir)
+        assert run("bench", "--config", str(cfg), "--jobs", "2") == 1
+        assert not (workdir / "bench.csv").exists()
+
     def test_bench_bad_config_key(self, workdir):
         path = workdir / "bad.json"
         path.write_text(json.dumps({"problem": "mvc", "solvrs": ["greedy"]}))
@@ -373,7 +378,7 @@ class TestTopLevel:
         ("train-student", "learning rate (default: 0.001)"),
         ("prune", "good-node list output (default: {workdir}/good_nodes.txt)"),
         ("solve", "or 'all' (default: all)"),
-        ("bench", "parallel solver cells (default: 1)"),
+        ("bench", "CSV report path (default: {workdir}/bench.csv)"),
     ])
     def test_help_shows_declared_default(self, workdir, capsys, monkeypatch,
                                          command, shown):

@@ -40,7 +40,7 @@ class TestHandCases:
     def test_empty_candidates(self, path3):
         empty = Candidates.restrict(NodeSet.empty(3))
         mvc = exact_solve(path3, MVC, empty)
-        assert mvc.size == 0 and mvc.covered_edges == 0
+        assert mvc.size == 0 and coverage(path3, mvc) == 0.0
         assert exact_solve(path3, MIS, empty).size == 0
 
     def test_rejects_nonpositive_time_limit(self, path3):
@@ -55,12 +55,12 @@ class TestRestrictedSemantics:
         g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         s = exact_solve(g, MVC, Candidates.from_ids([0, 2, 4], 5))
         assert sorted(s.nodes.ids()) == [0, 2, 4]
-        assert s.covered_edges == 4
+        assert coverage(g, s) == 1.0
 
     def test_forced_boundary_nodes_included(self, path3):
         s = exact_solve(path3, MVC, Candidates.from_ids([0, 2], 3))
         assert sorted(s.nodes.ids()) == [0, 2]
-        assert s.covered_edges == 2
+        assert coverage(path3, s) == 1.0
 
     def test_restricted_mis_is_induced_subproblem(self, triangle):
         s = exact_solve(triangle, MIS, Candidates.from_ids([0, 1], 3))
@@ -90,7 +90,7 @@ class TestOracleEquivalence:
             cand = Candidates.restrict(NodeSet(elig))
             mvc = exact_solve(g, MVC, cand)
             want_size, want_cov = brute_mvc(g, elig)
-            assert (mvc.size, mvc.covered_edges) == (want_size, want_cov)
+            assert (mvc.size, round(coverage(g, mvc) * g.m)) == (want_size, want_cov)
             assert not (mvc.nodes.mask & ~elig).any()
             mis = exact_solve(g, MIS, cand)
             assert mis.size == brute_mis(g, elig)

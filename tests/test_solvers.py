@@ -88,6 +88,16 @@ class TestValidation:
         assert not rep.ok
         assert any("not covered" in f for f in rep.failures)
 
+    @pytest.mark.parametrize("algorithm", ["local-search", "exact"])
+    def test_full_cover_checked_for_every_algorithm(self, path3, algorithm):
+        rep = validate_solution(path3, mvc_solution(path3, [], algorithm))
+        assert not rep.ok and rep.coverage == 0.0
+        assert rep.failures == ["edge (0, 1) is not covered"]
+
+    def test_restricted_mvc_not_held_to_coverage(self, path3):
+        rep = validate_solution(path3, mvc_solution(path3, [0], restricted=True))
+        assert rep.ok and rep.coverage == 0.5
+
 
 class TestFormatSolution:
     def test_mvc_header_and_ids(self, triangle):
@@ -111,7 +121,7 @@ class TestGreedyMvc:
     def test_triangle_tie_break(self, triangle):
         s = greedy_mvc(triangle)
         assert sorted(s.nodes.ids()) == [0, 1]
-        assert s.covered_edges == 3
+        assert coverage(triangle, s) == 1.0
 
     def test_star_takes_center(self, star5):
         s = greedy_mvc(star5)
@@ -120,7 +130,7 @@ class TestGreedyMvc:
     def test_restricted_path_needs_both_endpoints(self, path3):
         s = greedy_mvc(path3, Candidates.from_ids([0, 2], 3))
         assert sorted(s.nodes.ids()) == [0, 2]
-        assert s.covered_edges == 2
+        assert coverage(path3, s) == 1.0
         assert s.restricted
 
     def test_restricted_stops_when_nothing_coverable(self):
@@ -128,7 +138,7 @@ class TestGreedyMvc:
         g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
         s = greedy_mvc(g, Candidates.from_ids([0, 3], 4))
         assert list(s.nodes.ids()) == [0]
-        assert s.covered_edges == 3
+        assert coverage(g, s) == 1.0
 
     def test_full_space_always_covers(self):
         for seed in range(6):
