@@ -277,13 +277,19 @@ def local_search_mis(g: Graph, cand: Candidates | None = None, seed: int = 0) ->
     (1,2)-swaps until none applies.
 
     A swap replaces a solution node v by two of its non-adjacent one-tight
-    neighbors (nodes whose single solution neighbor is v). First improvement:
-    solution nodes are scanned in ascending order and the scan restarts after
-    every swap; tightness is recomputed from the current solution at each
-    restart. A swap can leave some third neighbor of v with no solution
-    neighbor at all, so after each swap freed candidate nodes are re-added
-    (ascending), which keeps full-space outputs maximal. In restricted mode
-    only candidate nodes may enter, whether by swap or by re-add.
+    neighbors (nodes whose single solution neighbor is v): the first such
+    pair in adjacency order. First improvement over a min-heap worklist of
+    "dirty" solution nodes; every solution node off the worklist has no swap.
+    The smallest dirty node is popped and either swaps or becomes clean, so
+    each swap is made at the smallest solution node that has one, and the
+    result equals that of an ascending scan restarted after every swap.
+    Only N(v) loses tightness in a swap, so only N(v) can hold freed nodes;
+    they are re-added (ascending), which keeps full-space outputs maximal.
+    A solution node's swaps depend only on which of its neighbors are
+    one-tight candidates, so a swap dirties the nodes it adds and the
+    solution neighbors of every node whose one-tight status changed. In
+    restricted mode only candidate nodes may enter, whether by swap or by
+    re-add.
     """
     cand = cand or Candidates.all()
     t0 = time.perf_counter()
@@ -323,49 +329,59 @@ def local_search_mis(g: Graph, cand: Candidates | None = None, seed: int = 0) ->
         return out
 
     tight = good_neighbor_counts(in_s)
-
-    def add_free_nodes() -> None:
+    # one-tight candidate nodes that could swap in
+    swap_in = good & ~in_s & (tight == 1)
+    # a swap needs two such neighbors, so every other solution node starts
+    # clean; an ascending list is already a heap
+    heap = np.flatnonzero(in_s & (good_neighbor_counts(swap_in) >= 2)).tolist()
+    dirty = np.zeros(g.n, dtype=bool)
+    dirty[heap] = True
+    while heap:
+        v = heapq.heappop(heap)
+        dirty[v] = False
+        nv = g.neighbors(v)
+        cands = nv[swap_in[nv]]
+        swap = None
+        for a in range(len(cands)):
+            for b in range(a + 1, len(cands)):
+                if not g.has_edge(int(cands[a]), int(cands[b])):
+                    swap = (int(cands[a]), int(cands[b]))
+                    break
+            if swap:
+                break
+        if not swap:
+            continue
+        i, j = swap
+        in_s[v] = False
+        in_s[i] = True
+        in_s[j] = True
+        tight[nv[good[nv]]] -= 1
+        added = [i, j]
+        touched = [nv]
+        for w in (i, j):
+            nw = g.neighbors(w)
+            tight[nw[good[nw]]] += 1
+            touched.append(nw)
         # additions only tighten, so one ascending pass with an inline
         # recheck cannot miss a free node
-        for u in np.flatnonzero(good & ~in_s & (tight == 0)):
-            if not in_s[u] and tight[u] == 0:
+        for u in nv[good[nv] & ~in_s[nv] & (tight[nv] == 0)]:
+            if tight[u] == 0:
                 in_s[u] = True
                 nu = g.neighbors(u)
                 tight[nu[good[nu]]] += 1
-
-    improved = True
-    while improved:
-        improved = False
-        # one-tight candidate nodes that could swap in
-        swap_in = good & ~in_s & (tight == 1)
-        cnt = good_neighbor_counts(swap_in)
-        # a swap needs two such neighbors, so other solution nodes are
-        # skipped without changing which improvement fires first
-        for v in np.flatnonzero(in_s & (cnt >= 2)):
-            nbrs = g.neighbors(v)
-            cands = nbrs[swap_in[nbrs]]
-            swap = None
-            for a in range(len(cands)):
-                for b in range(a + 1, len(cands)):
-                    if not g.has_edge(int(cands[a]), int(cands[b])):
-                        swap = (int(cands[a]), int(cands[b]))
-                        break
-                if swap:
-                    break
-            if swap:
-                i, j = swap
-                in_s[v] = False
-                in_s[i] = True
-                in_s[j] = True
-                # incremental tightness update, identical to a recount
-                nv = g.neighbors(v)
-                tight[nv[good[nv]]] -= 1
-                for w in (i, j):
-                    nw = g.neighbors(w)
-                    tight[nw[good[nw]]] += 1
-                add_free_nodes()
-                improved = True
-                break
+                added.append(int(u))
+                touched.append(nu)
+        # v itself is two-tight now (i and j), so its status did not change
+        touched = np.unique(np.concatenate(touched))
+        now = good[touched] & ~in_s[touched] & (tight[touched] == 1)
+        flipped = touched[now != swap_in[touched]]
+        swap_in[touched] = now
+        marked = np.concatenate([np.array(added, dtype=np.int64)]
+                                + [g.neighbors(w) for w in flipped])
+        marked = np.unique(marked[in_s[marked] & ~dirty[marked]])
+        dirty[marked] = True
+        for u in marked.tolist():
+            heapq.heappush(heap, u)
     return Solution(
         problem=MIS,
         nodes=NodeSet(in_s),

@@ -4,12 +4,17 @@ The bitmask solvers enumerate all 2^n node subsets, so they are only usable
 for tiny graphs (n <= ~16). They share no code with the package's solvers.
 ``brute_edge_list`` is the line-by-line edge-list parser, and ``brute_csr``
 builds neighbour lists with a lexsort; they check the vectorized loader and
-``Graph``.
+``Graph``. ``restart_scan_local_search_mis`` is the (1,2)-swap local search
+that rescans the whole solution after every swap; it checks the worklist
+version in the package.
 """
+
+import time
 
 import numpy as np
 
-from prunesolve.graph import EdgeListParseError, EmptyGraphError
+from prunesolve.graph import EdgeListParseError, EmptyGraphError, Graph, NodeSet, make_rng
+from prunesolve.solvers import MIS, Candidates, Solution
 
 
 def _subset_tables(g):
@@ -116,3 +121,106 @@ def brute_csr(n, edges):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
     return offsets, targets
+
+
+def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None, seed: int = 0) -> Solution:
+    """Local search for independent set: seeded random greedy start, then
+    (1,2)-swaps until none applies.
+
+    A swap replaces a solution node v by two of its non-adjacent one-tight
+    neighbors (nodes whose single solution neighbor is v). First improvement:
+    solution nodes are scanned in ascending order and the scan restarts after
+    every swap; tightness is recomputed from the current solution at each
+    restart. A swap can leave some third neighbor of v with no solution
+    neighbor at all, so after each swap freed candidate nodes are re-added
+    (ascending), which keeps full-space outputs maximal. In restricted mode
+    only candidate nodes may enter, whether by swap or by re-add.
+    """
+    cand = cand or Candidates.all()
+    t0 = time.perf_counter()
+    good = cand.mask_for(g)
+    rng = make_rng(seed)
+    pool = good.copy()
+    in_s = np.zeros(g.n, dtype=bool)
+    for v in rng.permutation(np.flatnonzero(good)):
+        if pool[v]:
+            in_s[v] = True
+            pool[v] = False
+            pool[g.neighbors(v)] = False
+
+    # tightness and swap-candidate counts are only ever read at candidate
+    # nodes, so count over the candidate adjacency rows alone
+    good_ids = np.flatnonzero(good)
+    seg_len = g.degrees()[good_ids]
+    if len(good_ids):
+        seg_starts = np.concatenate([[0], np.cumsum(seg_len)[:-1]])
+        starts = g.offsets[good_ids]
+        total = int(seg_len.sum())
+        within = np.arange(total) - np.repeat(seg_starts, seg_len)
+        good_rows = g.targets[np.repeat(starts, seg_len) + within]
+    else:
+        seg_starts = np.empty(0, dtype=np.int64)
+        good_rows = np.empty(0, dtype=g.targets.dtype)
+
+    def good_neighbor_counts(mask: np.ndarray) -> np.ndarray:
+        out = np.zeros(g.n, dtype=np.int64)
+        if len(good_ids) and len(good_rows):
+            hits = mask[good_rows].astype(np.int64)
+            nonempty = seg_len > 0
+            sums = np.zeros(len(good_ids), dtype=np.int64)
+            if nonempty.any():
+                sums[nonempty] = np.add.reduceat(hits, seg_starts[nonempty])
+            out[good_ids] = sums
+        return out
+
+    tight = good_neighbor_counts(in_s)
+
+    def add_free_nodes() -> None:
+        # additions only tighten, so one ascending pass with an inline
+        # recheck cannot miss a free node
+        for u in np.flatnonzero(good & ~in_s & (tight == 0)):
+            if not in_s[u] and tight[u] == 0:
+                in_s[u] = True
+                nu = g.neighbors(u)
+                tight[nu[good[nu]]] += 1
+
+    improved = True
+    while improved:
+        improved = False
+        # one-tight candidate nodes that could swap in
+        swap_in = good & ~in_s & (tight == 1)
+        cnt = good_neighbor_counts(swap_in)
+        # a swap needs two such neighbors, so other solution nodes are
+        # skipped without changing which improvement fires first
+        for v in np.flatnonzero(in_s & (cnt >= 2)):
+            nbrs = g.neighbors(v)
+            cands = nbrs[swap_in[nbrs]]
+            swap = None
+            for a in range(len(cands)):
+                for b in range(a + 1, len(cands)):
+                    if not g.has_edge(int(cands[a]), int(cands[b])):
+                        swap = (int(cands[a]), int(cands[b]))
+                        break
+                if swap:
+                    break
+            if swap:
+                i, j = swap
+                in_s[v] = False
+                in_s[i] = True
+                in_s[j] = True
+                # incremental tightness update, identical to a recount
+                nv = g.neighbors(v)
+                tight[nv[good[nv]]] -= 1
+                for w in (i, j):
+                    nw = g.neighbors(w)
+                    tight[nw[good[nw]]] += 1
+                add_free_nodes()
+                improved = True
+                break
+    return Solution(
+        problem=MIS,
+        nodes=NodeSet(in_s),
+        algorithm="local-search",
+        runtime=time.perf_counter() - t0,
+        restricted=not cand.is_all,
+    )

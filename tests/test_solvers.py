@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from _brute import restart_scan_local_search_mis
 from conftest import graph_from_edges, random_graph
-from prunesolve.graph import NodeSet
+from prunesolve.graph import Graph, NodeSet, generate_ba, make_rng
 from prunesolve.solvers import (
     MIS,
     MVC,
@@ -30,6 +31,28 @@ def mvc_solution(g, ids, algorithm="greedy", restricted=False):
 def mis_solution(g, ids, restricted=False):
     return Solution(MIS, NodeSet.from_ids(ids, g.n), "greedy", 0.0,
                     restricted=restricted)
+
+
+def gnm_graph(n, m, seed):
+    """Uniform random graph with n nodes and (at most) m distinct edges."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=m)
+    v = rng.integers(0, n, size=m)
+    keep = u != v
+    key = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
+    return Graph(n, np.stack([key // n, key % n], axis=1))
+
+
+def random_greedy_start(g, seed):
+    """The seeded random-greedy start of ``local_search_mis`` in full space."""
+    pool = np.ones(g.n, dtype=bool)
+    start = []
+    for v in make_rng(seed).permutation(g.n):
+        if pool[v]:
+            start.append(int(v))
+            pool[v] = False
+            pool[g.neighbors(v)] = False
+    return sorted(start)
 
 
 class TestCandidates:
@@ -251,6 +274,35 @@ class TestLocalSearchMis:
     def test_deterministic_per_seed(self):
         g = random_graph(40, 0.12, 6)
         assert local_search_mis(g, seed=9).nodes == local_search_mis(g, seed=9).nodes
+
+    def test_swap_makes_a_lower_node_swappable(self):
+        # start {1, 6}: node 1 has one one-tight neighbor (0), node 6 has
+        # three (3, 4, 5). The swap 6 -> {3, 4} frees 5, which is re-added,
+        # and leaves 2 one-tight on 1, so node 1 (below 6) now swaps to
+        # {0, 2}. Scanning on upward from 6 would stop at {1, 3, 4, 5}.
+        g = graph_from_edges(7, [(0, 1), (1, 2), (2, 6), (3, 6), (4, 6), (5, 6)])
+        assert random_greedy_start(g, 22) == [1, 6]
+        s = local_search_mis(g, seed=22)
+        assert s.nodes.ids().tolist() == [0, 2, 3, 4, 5]
+        assert s.nodes == restart_scan_local_search_mis(g, seed=22).nodes
+
+    @pytest.mark.parametrize("kind", ["ba", "gnm"])
+    @pytest.mark.parametrize("n", [5, 9, 20, 50, 120, 300, 1000, 3000])
+    def test_matches_restart_scan_reference(self, kind, n):
+        # 15 cases per (kind, n): full space and four candidate fractions,
+        # three seeds each
+        g = generate_ba(n, min(3, n - 1), n) if kind == "ba" else gnm_graph(n, 2 * n, n)
+        rng = np.random.default_rng(n)
+        spaces = [None] + [
+            Candidates.from_ids(np.flatnonzero(rng.random(n) < frac), n)
+            for frac in (0.1, 0.4, 0.7, 0.9)
+        ]
+        for cand in spaces:
+            for seed in range(3):
+                got = local_search_mis(g, cand, seed=seed)
+                want = restart_scan_local_search_mis(g, cand, seed=seed)
+                assert got.nodes == want.nodes, (kind, n, seed)
+                assert got.restricted == want.restricted
 
 
 class TestCrossSolverProperties:
