@@ -8,10 +8,11 @@ and range-checked like the flags, with JSON types: 2.7 is no integer and
 field against PipelineConfig (see bench.config_from_dict).
 
 Exit codes: 0 success; 1 usage problems (bad flags, any bad option value
-from a flag or config file, malformed or missing config, unreadable
-inputs), found before any input is read or model trained; 2 failures while
-computing or writing results. Output paths default into $PRUNESOLVE_OUT_DIR
-(current directory if unset).
+from a flag or config file, malformed or missing config, unreadable or
+malformed input files, candidate ids outside the graph), the option values
+among them found before any input is read or model trained; 2 failures
+while computing or writing results. Output paths default into
+$PRUNESOLVE_OUT_DIR (current directory if unset).
 """
 
 from __future__ import annotations
@@ -173,10 +174,14 @@ def _dims_text(dims) -> str:
 
 
 def _read(load, path, what: str):
+    """``load(path)``, a missing or malformed file made a usage error."""
     try:
         return load(path)
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}") from None
+    except ValueError as e:
+        msg = str(e)
+        raise UsageError(msg if str(path) in msg else f"{what} file {path}: {msg}") from None
 
 
 def _read_candidates(path, n: int) -> Candidates:
@@ -194,7 +199,12 @@ def _read_candidates(path, n: int) -> Candidates:
         ) from None
     if not len(ids):
         raise UsageError(f"{path}: no candidate ids")
-    return Candidates.from_ids(ids.ravel(), n)
+    ids = ids.ravel()  # int64, or Python ints beyond its range
+    outside = (ids < 0) | (ids >= n)
+    if outside.any():
+        raise UsageError(f"{path}: node id {ids[outside.argmax()]} is not in "
+                         f"the {n}-node graph")
+    return Candidates.from_ids(ids, n)
 
 
 def _write_good_nodes(nodes, path) -> None:

@@ -26,6 +26,7 @@ import numpy as np
 from .graph import Graph, make_rng
 
 LOG_EPS = 1e-12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 @dataclass
@@ -280,13 +281,9 @@ class AdamState:
     m_bias: list[np.ndarray]
     v_bias: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: GcnParams, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def adam_init(params: GcnParams) -> AdamState:
     return AdamState(
         [np.zeros_like(w) for w in params.w_self],
         [np.zeros_like(w) for w in params.w_self],
@@ -294,7 +291,6 @@ def adam_init(params: GcnParams, beta1: float = 0.9, beta2: float = 0.999,
         [np.zeros_like(w) for w in params.w_neigh],
         [np.zeros_like(b) for b in params.bias],
         [np.zeros_like(b) for b in params.bias],
-        0, beta1, beta2, eps,
     )
 
 
@@ -303,7 +299,6 @@ def adam_step(params: GcnParams, grads: Grads, state: AdamState,
     """One Adam update, in place; invalidates outstanding forward caches."""
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
     groups = (
         (params.w_self, grads.w_self, state.m_self, state.v_self),
         (params.w_neigh, grads.w_neigh, state.m_neigh, state.v_neigh),
@@ -311,13 +306,13 @@ def adam_step(params: GcnParams, grads: Grads, state: AdamState,
     )
     for ws, gs, ms, vs in groups:
         for w, gr, m, v in zip(ws, gs, ms, vs):
-            m *= b1
-            m += (1 - b1) * gr
-            v *= b2
-            v += (1 - b2) * gr * gr
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            w -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * gr
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * gr * gr
+            m_hat = m / (1 - ADAM_BETA1 ** t)
+            v_hat = v / (1 - ADAM_BETA2 ** t)
+            w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     params.version += 1
 
 

@@ -12,7 +12,6 @@ always broken toward the lowest node id.
 from __future__ import annotations
 
 import heapq
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -304,36 +303,13 @@ def local_search_mis(g: Graph, cand: Candidates | None = None, seed: int = 0) ->
             pool[g.neighbors(v)] = False
 
     # tightness and swap-candidate counts are only ever read at candidate
-    # nodes, so count over the candidate adjacency rows alone
-    good_ids = np.flatnonzero(good)
-    seg_len = g.degrees()[good_ids]
-    if len(good_ids):
-        seg_starts = np.concatenate([[0], np.cumsum(seg_len)[:-1]])
-        starts = g.offsets[good_ids]
-        total = int(seg_len.sum())
-        within = np.arange(total) - np.repeat(seg_starts, seg_len)
-        good_rows = g.targets[np.repeat(starts, seg_len) + within]
-    else:
-        seg_starts = np.empty(0, dtype=np.int64)
-        good_rows = np.empty(0, dtype=g.targets.dtype)
-
-    def good_neighbor_counts(mask: np.ndarray) -> np.ndarray:
-        out = np.zeros(g.n, dtype=np.int64)
-        if len(good_ids) and len(good_rows):
-            hits = mask[good_rows].astype(np.int64)
-            nonempty = seg_len > 0
-            sums = np.zeros(len(good_ids), dtype=np.int64)
-            if nonempty.any():
-                sums[nonempty] = np.add.reduceat(hits, seg_starts[nonempty])
-            out[good_ids] = sums
-        return out
-
-    tight = good_neighbor_counts(in_s)
+    # nodes, and only kept up to date there
+    tight = g.count_in_mask(in_s)
     # one-tight candidate nodes that could swap in
     swap_in = good & ~in_s & (tight == 1)
     # a swap needs two such neighbors, so every other solution node starts
     # clean; an ascending list is already a heap
-    heap = np.flatnonzero(in_s & (good_neighbor_counts(swap_in) >= 2)).tolist()
+    heap = np.flatnonzero(in_s & (g.count_in_mask(swap_in) >= 2)).tolist()
     dirty = np.zeros(g.n, dtype=bool)
     dirty[heap] = True
     while heap:
@@ -404,37 +380,16 @@ def _check_time(deadline: float) -> None:
         raise _Deadline
 
 
-def _adj_from_mask(g: Graph, mask: np.ndarray) -> dict[int, set[int]]:
-    """Adjacency dict of the subgraph induced by ``mask`` (ascending ids)."""
-    adj: dict[int, set[int]] = {}
-    for v in np.flatnonzero(mask):
-        nb = g.neighbors(v)
-        adj[int(v)] = {int(u) for u in nb[mask[nb]]}
-    return adj
+def _induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """Subgraph induced by ``mask`` and the ids of its nodes in ``g``.
 
-
-def _greedy_cover_dict(adj: dict[int, set[int]]) -> set[int]:
-    """Max-degree greedy cover of a dict graph; used to seed the incumbent."""
-    deg = {v: len(s) for v, s in adj.items()}
-    live = {v: set(s) for v, s in adj.items()}
-    heap = [(-d, v) for v, d in deg.items() if d > 0]
-    heapq.heapify(heap)
-    cover: set[int] = set()
-    while heap:
-        negd, v = heapq.heappop(heap)
-        if v in cover or deg[v] != -negd:
-            continue
-        if negd == 0:
-            break
-        cover.add(v)
-        for u in live[v]:
-            live[u].discard(v)
-            deg[u] -= 1
-            if u not in cover and deg[u] > 0:
-                heapq.heappush(heap, (-deg[u], u))
-        deg[v] = 0
-        live[v] = set()
-    return cover
+    Nodes keep their ascending order, so lowest-id ties break alike in both.
+    """
+    ids = np.flatnonzero(mask)
+    new = np.full(g.n, -1, dtype=np.int64)
+    new[ids] = np.arange(len(ids))
+    e = g.edge_array()
+    return Graph(len(ids), new[e[mask[e[:, 0]] & mask[e[:, 1]]]]), ids
 
 
 def _matching_lb(adj: dict[int, set[int]]) -> int:
@@ -456,13 +411,21 @@ def _matching_lb(adj: dict[int, set[int]]) -> int:
     return size
 
 
-def _bb_mvc(adj: dict[int, set[int]], deadline: float) -> tuple[set[int], bool]:
-    """Branch and bound for minimum vertex cover on a dict graph.
+def _bb_mvc(sub: Graph, deadline: float) -> tuple[set[int], bool]:
+    """Branch and bound for minimum vertex cover, depth first over an
+    explicit stack.
 
-    Consumes ``adj``. Returns (best cover found, proven-optimal flag).
+    The incumbent starts as :func:`greedy_mvc`'s cover. A stack frame is
+    (undo mark, chosen mark, nodes to take into the cover, node to drop):
+    popping it rewinds the undo trail and ``chosen`` to its marks and applies
+    its choice; then the reductions, the leaf check and the matching bound
+    run. A branch pushes its exclude frame below its include frame, so the
+    include side is searched first. Returns (best cover found, proven-optimal
+    flag).
     """
-    best = _greedy_cover_dict(adj)
+    best = set(greedy_mvc(sub).nodes.ids().tolist())
     best_size = len(best)
+    adj = {v: set(sub.neighbors(v).tolist()) for v in range(sub.n)}
     chosen: list[int] = []
     undo: list[tuple[int, set[int]]] = []
 
@@ -471,13 +434,6 @@ def _bb_mvc(adj: dict[int, set[int]], deadline: float) -> tuple[set[int], bool]:
         for u in nbrs:
             adj[u].discard(v)
         undo.append((v, nbrs))
-
-    def restore(mark: int) -> None:
-        while len(undo) > mark:
-            v, nbrs = undo.pop()
-            adj[v] = nbrs
-            for u in nbrs:
-                adj[u].add(v)
 
     def reduce_() -> None:
         while True:
@@ -498,42 +454,32 @@ def _bb_mvc(adj: dict[int, set[int]], deadline: float) -> tuple[set[int], bool]:
             chosen.append(u)
             remove_node(u)
 
-    def search() -> None:
-        nonlocal best, best_size
-        _check_time(deadline)
-        mark_u = len(undo)
-        mark_c = len(chosen)
-        reduce_()
-        if not adj:
-            if len(chosen) < best_size:
-                best = set(chosen)
-                best_size = len(chosen)
-        else:
-            lb = len(chosen) + _matching_lb(adj)
-            if lb < best_size:
-                v = min(adj, key=lambda u: (-len(adj[u]), u))
-                # include v in the cover
-                chosen.append(v)
-                mark2 = len(undo)
-                remove_node(v)
-                search()
-                restore(mark2)
-                chosen.pop()
-                # exclude v: every neighbor must join the cover
-                mark2 = len(undo)
-                forced = sorted(adj[v])
-                for u in forced:
-                    chosen.append(u)
-                    remove_node(u)
-                remove_node(v)
-                search()
-                restore(mark2)
-                del chosen[len(chosen) - len(forced):]
-        restore(mark_u)
-        del chosen[mark_c:]
-
+    stack = [(0, 0, (), None)]
     try:
-        search()
+        while stack:
+            mark_u, mark_c, take, drop = stack.pop()
+            while len(undo) > mark_u:
+                v, nbrs = undo.pop()
+                adj[v] = nbrs
+                for u in nbrs:
+                    adj[u].add(v)
+            del chosen[mark_c:]
+            for u in take:
+                chosen.append(u)
+                remove_node(u)
+            if drop is not None:
+                remove_node(drop)
+            reduce_()
+            if not adj:
+                if len(chosen) < best_size:
+                    best = set(chosen)
+                    best_size = len(chosen)
+            elif len(chosen) + _matching_lb(adj) < best_size:
+                v = min(adj, key=lambda u: (-len(adj[u]), u))
+                # exclude v (all its neighbors join the cover) below include v
+                mark_u, mark_c = len(undo), len(chosen)
+                stack.append((mark_u, mark_c, sorted(adj[v]), v))
+                stack.append((mark_u, mark_c, (v,), None))
         return best, True
     except _Deadline:
         return best, False
@@ -548,18 +494,21 @@ def exact_solve(
     """Exact branch-and-bound solve: one minimum vertex cover search serves
     both problems.
 
-    Degree-0 and degree-1 reductions run at every search node; branching is
-    on the maximum-degree undecided node, and a greedy maximal matching
-    bounds covers from below. Restricted vertex cover is lexicographic:
-    cover every edge touching a candidate, then minimize solution size.
-    An independent set is the complement of a minimum vertex cover of the
-    candidate-induced subgraph (all of the graph in full space).
+    The search (:func:`_bb_mvc`) is a depth-first loop over an explicit
+    stack, seeded with the greedy cover as its incumbent, so it neither
+    recurses nor changes any process-wide setting. Degree-0 and degree-1
+    reductions run at every search node; branching is on the maximum-degree
+    undecided node, and a greedy maximal matching bounds covers from below.
+    Restricted vertex cover is lexicographic: cover every edge touching a
+    candidate, then minimize solution size. An independent set is the
+    complement of a minimum vertex cover of the candidate-induced subgraph
+    (all of the graph in full space).
 
     On timeout the best incumbent found so far is returned with
     ``optimal=False``; an independent set is then topped up with free
     candidates so that a full-space result stays maximal.
     """
-    if time_limit <= 0:
+    if not time_limit > 0:  # NaN too: no time would ever pass it
         raise ValueError("time_limit must be positive")
     problem = _norm_problem(problem)
     cand = cand or Candidates.all()
@@ -568,44 +517,41 @@ def exact_solve(
     eligible = cand.mask_for(g)
     restricted = not cand.is_all
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * g.n + 500))
-    try:
-        if problem == MVC:
-            # a candidate with a neighbor outside the candidates is the only
-            # way to cover that edge, so it is forced in (none in full space)
-            in_cover = eligible & (g.count_in_mask(~eligible) > 0)
-            cover, optimal = _bb_mvc(_adj_from_mask(g, eligible & ~in_cover), deadline)
-            in_cover[np.fromiter(cover, dtype=np.int64, count=len(cover))] = True
-            return Solution(
-                problem=MVC,
-                nodes=NodeSet(in_cover),
-                algorithm="exact",
-                runtime=time.perf_counter() - t0,
-                optimal=optimal,
-                restricted=restricted,
-            )
-        # inside the candidate-induced subgraph, a maximum independent set is
-        # the complement of a minimum vertex cover
-        cover, optimal = _bb_mvc(_adj_from_mask(g, eligible), deadline)
-        in_set = eligible.copy()
-        in_set[np.fromiter(cover, dtype=np.int64, count=len(cover))] = False
-        # a timed-out cover need not be minimal, so its complement need not be
-        # maximal; additions only tighten, so one ascending pass with an
-        # inline recheck adds every free candidate (none when optimal)
-        for v in np.flatnonzero(eligible & ~in_set & (g.count_in_mask(in_set) == 0)):
-            if not in_set[g.neighbors(v)].any():
-                in_set[v] = True
+    if problem == MVC:
+        # a candidate with a neighbor outside the candidates is the only way
+        # to cover that edge, so it is forced in (none in full space)
+        in_cover = eligible & (g.count_in_mask(~eligible) > 0)
+        sub, ids = _induced(g, eligible & ~in_cover)
+        cover, optimal = _bb_mvc(sub, deadline)
+        in_cover[ids[list(cover)]] = True
         return Solution(
-            problem=MIS,
-            nodes=NodeSet(in_set),
+            problem=MVC,
+            nodes=NodeSet(in_cover),
             algorithm="exact",
             runtime=time.perf_counter() - t0,
             optimal=optimal,
             restricted=restricted,
         )
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # inside the candidate-induced subgraph, a maximum independent set is the
+    # complement of a minimum vertex cover
+    sub, ids = _induced(g, eligible)
+    cover, optimal = _bb_mvc(sub, deadline)
+    in_set = eligible.copy()
+    in_set[ids[list(cover)]] = False
+    # a timed-out cover need not be minimal, so its complement need not be
+    # maximal; additions only tighten, so one ascending pass with an inline
+    # recheck adds every free candidate (none when optimal)
+    for v in np.flatnonzero(eligible & ~in_set & (g.count_in_mask(in_set) == 0)):
+        if not in_set[g.neighbors(v)].any():
+            in_set[v] = True
+    return Solution(
+        problem=MIS,
+        nodes=NodeSet(in_set),
+        algorithm="exact",
+        runtime=time.perf_counter() - t0,
+        optimal=optimal,
+        restricted=restricted,
+    )
 
 
 # ---------------------------------------------------------------------------

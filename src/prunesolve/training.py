@@ -257,12 +257,11 @@ def _fit(g, x, epochs, lr, dropout, seed, dims, train_loss_fn, val_loss_fn):
     return TrainResult(best_params, history, best_epoch)
 
 
-def train_teacher(g: Graph, labels: LabelSet, cfg: TeacherConfig | None = None,
-                  x: np.ndarray | None = None) -> TrainResult:
+def train_teacher(g: Graph, labels: LabelSet,
+                  cfg: TeacherConfig | None = None) -> TrainResult:
     """Fit the wide network on oracle labels with plain cross entropy."""
     cfg = cfg or TeacherConfig()
-    if x is None:
-        x = degree_features(g)
+    x = degree_features(g)
     dims = [x.shape[1], *cfg.hidden_dims, 2]
 
     def train_loss(logits):
@@ -291,8 +290,7 @@ class BoostWeights:
 
 
 def boost_weights(teacher: GcnParams, g: Graph, labels: LabelSet,
-                  problem: str | None = None,
-                  x: np.ndarray | None = None) -> BoostWeights:
+                  problem: str | None = None) -> BoostWeights:
     """One-shot boosting pass over the train nodes.
 
     Start uniform at 1/|train|; scale misclassified nodes by exp(a) and
@@ -302,10 +300,8 @@ def boost_weights(teacher: GcnParams, g: Graph, labels: LabelSet,
     the weights sum to |train|, keeping the supervised term's scale.
     """
     problem = _norm_problem(problem or labels.problem)
-    if x is None:
-        x = degree_features(g)
     ids = labels.train_ids
-    logits = gcn.forward(g, teacher, x)
+    logits = gcn.forward(g, teacher, degree_features(g))
     pred = (logits[:, 1] >= logits[:, 0]).astype(np.int8)
     wrong = pred[ids] != labels.labels[ids]
     eps = float(np.clip(wrong.mean() if len(ids) else 0.0, 1e-6, 1 - 1e-6))
@@ -328,8 +324,7 @@ def boost_weights(teacher: GcnParams, g: Graph, labels: LabelSet,
 
 def train_student(g: Graph, labels: LabelSet, teacher: GcnParams,
                   bw: BoostWeights | None = None,
-                  cfg: StudentConfig | None = None,
-                  x: np.ndarray | None = None) -> TrainResult:
+                  cfg: StudentConfig | None = None) -> TrainResult:
     """Distill the narrow network with the combined objective.
 
     Loss = kd_weight * distillation + (1 - kd_weight) * weighted cross
@@ -339,8 +334,7 @@ def train_student(g: Graph, labels: LabelSet, teacher: GcnParams,
     logits are computed once in eval mode.
     """
     cfg = cfg or StudentConfig()
-    if x is None:
-        x = degree_features(g)
+    x = degree_features(g)
     hidden = cfg.hidden_dims or default_student_dims(labels.problem)
     dims = [x.shape[1], *hidden, 2]
     t_logits = gcn.forward(g, teacher, x)

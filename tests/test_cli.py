@@ -237,6 +237,10 @@ class TestPruneAndSolve:
         (b"4 # note\n", "line 1: expected a node id, got '4 # note'"),
         (b"# nothing\n\n", "no candidate ids"),
         (b"", "no candidate ids"),
+        (b"3\n60\n", "node id 60 is not in the 60-node graph"),
+        (b"-1\n", "node id -1 is not in the 60-node graph"),
+        (b"1\n99999999999999999999999\n",
+         "node id 99999999999999999999999 is not in the 60-node graph"),
     ])
     def test_bad_candidate_file_names_line(self, workdir, capsys, body, message):
         g = make_graph(workdir)
@@ -245,6 +249,21 @@ class TestPruneAndSolve:
         assert run("solve", "--graph", str(g), "--problem", "mvc",
                    "--solver", "greedy", "--candidates", str(cand)) == 1
         assert f"{cand}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name, body", [
+        (["solve", "--problem", "mvc", "--solver", "greedy", "--graph"],
+         "bad.txt", b"0 1\nx y\n"),
+        (["train-teacher", "--graph", "g.txt", "--labels"], "bad.txt", b"0 1\n"),
+        (["prune", "--graph", "g.txt", "--params"], "bad.npz", b"not an archive\n"),
+    ], ids=["edge-list", "labels", "params"])
+    def test_malformed_input_file_exits_1(self, workdir, capsys, argv, name, body):
+        make_graph(workdir)
+        bad = workdir / name
+        bad.write_bytes(body)
+        capsys.readouterr()
+        assert run(*argv, str(bad)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and str(bad) in err
 
     def test_candidate_file_layouts(self, workdir, capsys):
         g = make_graph(workdir)

@@ -1,5 +1,8 @@
 """Exact branch-and-bound solver against an exhaustive bitmask oracle."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -43,9 +46,10 @@ class TestHandCases:
         assert mvc.size == 0 and coverage(path3, mvc) == 0.0
         assert exact_solve(path3, MIS, empty).size == 0
 
-    def test_rejects_nonpositive_time_limit(self, path3):
+    @pytest.mark.parametrize("limit", [0, float("nan")])
+    def test_rejects_nonpositive_time_limit(self, path3, limit):
         with pytest.raises(ValueError):
-            exact_solve(path3, MVC, time_limit=0)
+            exact_solve(path3, MVC, time_limit=limit)
 
 
 class TestRestrictedSemantics:
@@ -119,11 +123,43 @@ class TestSearchBehavior:
         assert coverage(g, s) == 1.0
         assert s.size <= 40
 
+    def test_leaves_recursion_limit_alone(self, monkeypatch):
+        # the search loops over an explicit stack, so it has no use for the
+        # interpreter's recursion limit, which is shared by every thread
+        def refuse(limit):
+            raise AssertionError("exact_solve changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        # dense enough that some optima are only found after backtracking
+        for seed in range(12):
+            g = random_graph(10 + seed % 5, 0.5, seed)
+            elig = np.random.default_rng(seed).random(g.n) < 0.6
+            for mask in (None, elig):
+                cand = None if mask is None else Candidates.restrict(NodeSet(mask))
+                mvc = exact_solve(g, MVC, cand)
+                mis = exact_solve(g, MIS, cand)
+                assert mvc.optimal and mis.optimal
+                assert (mvc.size, round(coverage(g, mvc) * g.m)) == brute_mvc(g, mask)
+                assert mis.size == brute_mis(g, mask)
+
+    def test_tied_optima_pinned(self):
+        # BA graphs have many optimal solutions; the digest pins which one the
+        # search order picks, so reordering the search shows up here
+        h = hashlib.sha256()
+        for seed in range(10):
+            g = generate_ba(150, 3, seed)
+            for problem in (MVC, MIS):
+                s = exact_solve(g, problem)
+                assert s.optimal
+                h.update(f"{problem} {seed} {s.nodes.ids().tolist()}\n".encode())
+        assert h.hexdigest() == (
+            "1bd689a536a90acc093a3e3ae8b8c83f5d30e585b55f572692258e8b357a772f")
+
     def test_timed_out_cover_complement_is_topped_up(self, monkeypatch):
         # a search cut short may return a valid cover that is not minimal;
         # the worst case is every node of its input, whose complement is empty
         monkeypatch.setattr(solvers, "_bb_mvc",
-                            lambda adj, deadline: (set(adj), False))
+                            lambda sub, deadline: (set(range(sub.n)), False))
         g = random_graph(30, 0.15, 3)
         full = exact_solve(g, MIS)
         assert full.optimal is False
