@@ -35,11 +35,14 @@ print(format_solution(star, greedy_mvc(star)))
 print("greedy MIS on a triangle:")
 print(format_solution(triangle, greedy_mis(triangle)))
 
-# Local search refines a start: covers drop nodes whose neighbors are all
-# inside; independent sets use (1,2)-swaps, trading one node for two.
-path = Graph(3, [(0, 1), (1, 2)])
-ls = local_search_mis(path, seed=0)
-print("local-search MIS on a path:", [int(v) for v in ls.nodes.ids()])
+# Local search visits nodes by ascending degree and needs no seed: covers
+# start from every node and drop those whose neighbors are all inside;
+# independent sets start greedily, then use (1,2)-swaps, trading one node
+# for two. Here the start takes the middle of the path 2-1-3 (and the leaf
+# 4), and a swap trades it for both ends.
+swappy = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+ls = local_search_mis(swappy)
+print("local-search MIS:", [int(v) for v in ls.nodes.ids()])
 
 # The exact solver is branch and bound for vertex cover with degree
 # reductions and a matching bound; an independent set is the complement of a
@@ -78,7 +81,7 @@ print("corrupted MIS report:", validate_solution(triangle, bad).failures[0])
 # floor (MVC) or ceiling (MIS) for both heuristics.
 sizes = {
     "greedy": greedy_mvc(ba).size,
-    "local-search": local_search_mvc(ba, seed=3).size,
+    "local-search": local_search_mvc(ba).size,
     "exact": exact_solve(ba, "mvc", time_limit=30.0).size,
 }
 print("\nBA-200 MVC sizes:", sizes)

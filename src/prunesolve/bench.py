@@ -60,7 +60,6 @@ TIMING_COLUMNS = ("runtime_s", "speedup", "infer_teacher_ms", "infer_student_ms"
 REPORT_NOTES = [
     "input features are node degrees divided by the maximum degree",
     "boost weights: error scaling, then degree normalization, then rescale to sum |train|",
-    "per-variant solver seeds are derived deterministically from the master seed",
 ]
 
 
@@ -173,12 +172,12 @@ def speedup(time_baseline: float, time_variant: float) -> float:
 
 
 def _run_cell(g: Graph, problem: str, solver: str, cand: Candidates,
-              seed: int, time_limit: float, repeats: int):
+              time_limit: float, repeats: int):
     """One (graph, solver, variant) measurement: repeated identical runs,
     validity check on the final solution. Returns (solution, median time)."""
     times = []
     for _ in range(repeats):
-        sol = solve(g, problem, solver, cand, seed, time_limit)
+        sol = solve(g, problem, solver, cand, time_limit)
         times.append(sol.runtime)
     report = validate_solution(g, sol)
     if not report.ok:
@@ -192,8 +191,8 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
 
     Solver cells run one after another in this process, so no timed run
     shares the machine with another cell. Rows come grouped by test graph
-    (config order), then by solver, then by variant; every cell's seed is
-    derived from the config. Timeout notes follow all model notes.
+    (config order), then by solver, then by variant. Timeout notes follow
+    all model notes.
     """
     def say(msg):
         if log:
@@ -265,11 +264,8 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
             for solver in cfg.solvers:
                 for variant in VARIANTS:
                     cand, ratio = cands[variant]
-                    sol, runtime = _run_cell(
-                        tg, problem, solver, cand,
-                        derive_seed(cfg.seed, "solve", spec.name, solver, variant),
-                        cfg.exact_time_limit, cfg.solver_repeats,
-                    )
+                    sol, runtime = _run_cell(tg, problem, solver, cand,
+                                             cfg.exact_time_limit, cfg.solver_repeats)
                     if variant == "baseline":
                         base_runtime = runtime
                         if sol.optimal is False:

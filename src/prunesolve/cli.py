@@ -9,10 +9,11 @@ field against PipelineConfig (see bench.config_from_dict).
 
 Exit codes: 0 success; 1 usage problems (bad flags, any bad option value
 from a flag or config file, malformed or missing config, unreadable or
-malformed input files, candidate ids outside the graph), the option values
-among them found before any input is read or model trained; 2 failures
-while computing or writing results. Output paths default into
-$PRUNESOLVE_OUT_DIR (current directory if unset).
+malformed input files, candidate ids outside the graph, labels for another
+node count than the graph's), the option values among them found before
+any input is read or model trained; 2 failures while computing or writing
+results. Output paths default into $PRUNESOLVE_OUT_DIR (current directory
+if unset).
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ def _above(low, strict: bool):
 
 _STR, _INT, _FLOAT, _BOOL = _Type(str), _Type(int), _Type(float), _Type(bool)
 _SEED = _Type(int, rule=_above(0, strict=False))
+_NO_EFFECT = "accepted for compatibility; has no effect"  # prune and solve --seed
 _POSITIVE = _Type(float, rule=_above(0, strict=True))
 _PROBLEM = _Type(str, rule=str.lower)  # case-insensitive, as the library reads it
 _DIMS = _Type(tuple[int, ...],
@@ -184,6 +186,15 @@ def _read(load, path, what: str):
         raise UsageError(msg if str(path) in msg else f"{what} file {path}: {msg}") from None
 
 
+def _read_graph_and_labels(args):
+    """The --graph and --labels files, the labels checked to fit the graph."""
+    g = _read(load_edge_list, args.graph, "graph").graph
+    ls = _read(load_labels, args.labels, "label")
+    if ls.n != g.n:
+        raise UsageError(f"label file {args.labels} labels {ls.n} nodes, the graph has {g.n}")
+    return g, ls
+
+
 def _read_candidates(path, n: int) -> Candidates:
     """Read a good-node file: one node id per line, in the edge-list format."""
     if path == "all":
@@ -239,8 +250,7 @@ def _cmd_train_teacher(args) -> int:
     _require(args, "graph", "labels")
     cfg = _checked(TeacherConfig, hidden_dims=args.hidden, epochs=args.epochs,
                    lr=args.lr, dropout=args.dropout, seed=args.seed)
-    g = _read(load_edge_list, args.graph, "graph").graph
-    ls = _read(load_labels, args.labels, "label")
+    g, ls = _read_graph_and_labels(args)
     result = train_teacher(g, ls, cfg)
     gcn.save_params(result.params, args.out_params, seed=cfg.seed)
     write_epoch_log(result.history, args.out_log)
@@ -254,8 +264,7 @@ def _cmd_train_student(args) -> int:
     cfg = _checked(StudentConfig, hidden_dims=args.hidden, epochs=args.epochs,
                    lr=args.lr, dropout=args.dropout, kd_weight=args.kd_weight,
                    temperature=args.temperature, seed=args.seed)
-    g = _read(load_edge_list, args.graph, "graph").graph
-    ls = _read(load_labels, args.labels, "label")
+    g, ls = _read_graph_and_labels(args)
     teacher = _read(gcn.load_params, args.teacher, "parameter")
     bw = boost_weights(teacher, g, ls) if args.boost else None
     result = train_student(g, ls, teacher, bw, cfg)
@@ -281,7 +290,7 @@ def _cmd_solve(args) -> int:
     _require(args, "graph", "problem", "solver")
     g = _read(load_edge_list, args.graph, "graph").graph
     cand = _read_candidates(args.candidates, g.n)
-    sol = solve(g, args.problem, args.solver, cand, args.seed, args.time_limit)
+    sol = solve(g, args.problem, args.solver, cand, args.time_limit)
     sys.stdout.write(format_solution(g, sol))
     return 0
 
@@ -325,14 +334,13 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def add(name, func, help_text, seed=0):
+    def add(name, func, help_text, seed=0, seed_help="master random seed"):
         p = sub.add_parser(name, help=help_text, description=help_text,
                            epilog="Precedence: defaults < --config < flags.",
                            formatter_class=_Help)
         p.set_defaults(func=func, command_parser=p)
         p.add_argument("--config", help="JSON file of option values")
-        p.add_argument("--seed", type=_SEED, default=seed, help="master random seed"
-                       + (" (default: the config's)" if seed is None else ""))
+        p.add_argument("--seed", type=_SEED, default=seed, help=seed_help)
         return p
 
     def out(p, flag, name, help_text):
@@ -388,12 +396,14 @@ def build_parser() -> _Parser:
     out(p, "--out-params", "student.npz", "parameter output")
     out(p, "--out-log", "student_log.csv", "epoch CSV log")
 
-    p = add("prune", _cmd_prune, "Predict good nodes with trained parameters.")
+    p = add("prune", _cmd_prune, "Predict good nodes with trained parameters.",
+            seed_help=_NO_EFFECT)
     p.add_argument("--params", help="parameter file (required)")
     p.add_argument("--graph", help="edge-list path (required)")
     out(p, "--out", "good_nodes.txt", "good-node list output")
 
-    p = add("solve", _cmd_solve, "Run one solver and print the solution.")
+    p = add("solve", _cmd_solve, "Run one solver and print the solution.",
+            seed_help=_NO_EFFECT)
     p.add_argument("--graph", help="edge-list path (required)")
     p.add_argument("--problem", type=_PROBLEM, choices=PROBLEMS,
                    help="problem (required)")
@@ -404,7 +414,7 @@ def build_parser() -> _Parser:
                    help="exact-solver time limit in seconds")
 
     p = add("bench", _cmd_bench, "Run the full pipeline from a JSON config.",
-            seed=None)
+            seed=None, seed_help="master random seed (default: the config's)")
     out(p, "--out-csv", "bench.csv", "CSV report path")
     out(p, "--out-json", "bench.json", "JSON report path")
 

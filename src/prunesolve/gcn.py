@@ -19,6 +19,7 @@ them linearly.
 from __future__ import annotations
 
 import time
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,15 +340,18 @@ def save_params(params: GcnParams, path, seed: int | None = None) -> None:
 
 def load_params(path) -> GcnParams:
     """Read an archive written by :func:`save_params`; one without bias
-    arrays loads with zero biases."""
-    with np.load(path) as data:
-        dims = data["dims"]
-        n_layers = len(dims) - 1
-        w_self = [data[f"w_self_{k}"].astype(np.float64) for k in range(n_layers)]
-        w_neigh = [data[f"w_neigh_{k}"].astype(np.float64) for k in range(n_layers)]
-        bias = None
-        if "bias_0" in data.files:
-            bias = [data[f"bias_{k}"].astype(np.float64) for k in range(n_layers)]
+    arrays loads with zero biases. Any other file raises ValueError."""
+    try:
+        with np.load(path) as data:
+            dims = data["dims"]
+            n_layers = len(dims) - 1
+            w_self = [data[f"w_self_{k}"].astype(np.float64) for k in range(n_layers)]
+            w_neigh = [data[f"w_neigh_{k}"].astype(np.float64) for k in range(n_layers)]
+            bias = None
+            if "bias_0" in data.files:
+                bias = [data[f"bias_{k}"].astype(np.float64) for k in range(n_layers)]
+    except (KeyError, EOFError, TypeError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path}: not a parameter archive: {e}") from None
     params = GcnParams(w_self, w_neigh, bias)
     if params.dims != [int(d) for d in dims]:
         raise ValueError(f"stored dims {list(dims)} do not match matrix shapes")

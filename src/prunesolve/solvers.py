@@ -5,7 +5,7 @@ the full search space (all nodes) or a restricted space where only a given
 "good node" subset may enter the solution. Restricted vertex covers may
 legitimately leave some edges uncovered; the coverage metric quantifies that.
 
-All solvers are deterministic given (graph, candidates, seed), and ties are
+All solvers are deterministic given (graph, candidates), and ties are
 always broken toward the lowest node id.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, NodeSet, make_rng
+from .graph import Graph, NodeSet
 
 MVC = "mvc"
 MIS = "mis"
@@ -235,33 +235,33 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
 # Local search
 
 
-def local_search_mvc(g: Graph, cand: Candidates | None = None, seed: int = 0) -> Solution:
-    """Local search for vertex cover: one ascending sweep drops every node
-    whose neighbors are all still in the solution.
+def _degree_order_set(g: Graph, pool: np.ndarray) -> np.ndarray:
+    """The start of both local searches: each ``pool`` node, by ascending
+    degree with ties to the lower id, is kept unless a kept neighbor has
+    removed it, so the kept nodes form an independent set."""
+    pool = pool.copy()
+    order = np.argsort(g.degrees(), kind="stable")
+    for v in order[pool[order]]:
+        if pool[v]:  # kept
+            pool[g.neighbors(v)] = False
+    return pool
 
-    Full-space initialization adds both endpoints of uncovered edges in a
-    seeded random order until everything is covered; restricted mode starts
-    from the candidate set itself. Nodes are only ever removed, so a
-    restricted start that is not a cover stays that way.
+
+def local_search_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Local search for vertex cover: start from every candidate (every node
+    in full space) and drop, by ascending degree, each node whose neighbors
+    are all still in.
+
+    The dropped nodes are the degree-ordered independent set of the
+    candidates whose neighbors are all candidates; in full space it is
+    maximal, so the result is a cover. A restricted start that is not a
+    cover stays that way.
     """
     cand = cand or Candidates.all()
     t0 = time.perf_counter()
-    in_s = np.zeros(g.n, dtype=bool)
-    if cand.is_all:
-        rng = make_rng(seed)
-        edges = g.edge_array()
-        for idx in rng.permutation(g.m):
-            u, v = edges[idx]
-            if not (in_s[u] or in_s[v]):
-                in_s[u] = True
-                in_s[v] = True
-    else:
-        in_s = cand.mask_for(g).copy()
-    # Removability only ever decays as the solution shrinks, so a node kept
-    # by the sweep stays unremovable: one pass reaches the fixpoint.
-    for v in np.flatnonzero(in_s):
-        if in_s[g.neighbors(v)].all():
-            in_s[v] = False
+    eligible = cand.mask_for(g)
+    dropped = _degree_order_set(g, eligible & (g.count_in_mask(~eligible) == 0))
+    in_s = eligible & ~dropped
     return Solution(
         problem=MVC,
         nodes=NodeSet(in_s),
@@ -271,8 +271,9 @@ def local_search_mvc(g: Graph, cand: Candidates | None = None, seed: int = 0) ->
     )
 
 
-def local_search_mis(g: Graph, cand: Candidates | None = None, seed: int = 0) -> Solution:
-    """Local search for independent set: seeded random greedy start, then
+def local_search_mis(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Local search for independent set: a greedy start that takes each
+    candidate by ascending degree if no neighbor is taken yet, then
     (1,2)-swaps until none applies.
 
     A swap replaces a solution node v by two of its non-adjacent one-tight
@@ -293,14 +294,7 @@ def local_search_mis(g: Graph, cand: Candidates | None = None, seed: int = 0) ->
     cand = cand or Candidates.all()
     t0 = time.perf_counter()
     good = cand.mask_for(g)
-    rng = make_rng(seed)
-    pool = good.copy()
-    in_s = np.zeros(g.n, dtype=bool)
-    for v in rng.permutation(np.flatnonzero(good)):
-        if pool[v]:
-            in_s[v] = True
-            pool[v] = False
-            pool[g.neighbors(v)] = False
+    in_s = _degree_order_set(g, good)
 
     # tightness and swap-candidate counts are only ever read at candidate
     # nodes, and only kept up to date there
@@ -565,21 +559,17 @@ def solve(
     problem: str,
     solver: str,
     cand: Candidates | None = None,
-    seed: int = 0,
     time_limit: float = TIME_LIMIT,
 ) -> Solution:
     """Run the named solver for the named problem.
 
-    ``seed`` is used by local search only and ``time_limit`` by the exact
-    solver only.
+    ``time_limit`` is used by the exact solver only.
     """
     problem = _norm_problem(problem)
     if solver == "greedy":
         return greedy_mvc(g, cand) if problem == MVC else greedy_mis(g, cand)
     if solver == "local-search":
-        if problem == MVC:
-            return local_search_mvc(g, cand, seed=seed)
-        return local_search_mis(g, cand, seed=seed)
+        return local_search_mvc(g, cand) if problem == MVC else local_search_mis(g, cand)
     if solver == "exact":
         return exact_solve(g, problem, cand, time_limit=time_limit)
     raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")

@@ -67,8 +67,7 @@ def generate_labels(g: Graph, problem: str, oracle: str = LABEL_ORACLE,
     caller to fall back to a heuristic oracle.
     """
     problem = _norm_problem(problem)
-    sol = solve(g, problem, oracle, seed=derive_seed(seed, "oracle-ls"),
-                time_limit=time_limit)
+    sol = solve(g, problem, oracle, time_limit=time_limit)
     if sol.optimal is False:
         raise RuntimeError(
             "exact label oracle hit its time limit; rerun with "

@@ -6,14 +6,15 @@ for tiny graphs (n <= ~16). They share no code with the package's solvers.
 builds neighbour lists with a lexsort; they check the vectorized loader and
 ``Graph``. ``restart_scan_local_search_mis`` is the (1,2)-swap local search
 that rescans the whole solution after every swap; it checks the worklist
-version in the package.
+version in the package. ``degree_order_start`` is the start both versions
+make, written independently of the package's.
 """
 
 import time
 
 import numpy as np
 
-from prunesolve.graph import EdgeListParseError, EmptyGraphError, Graph, NodeSet, make_rng
+from prunesolve.graph import EdgeListParseError, EmptyGraphError, Graph, NodeSet
 from prunesolve.solvers import MIS, Candidates, Solution
 
 
@@ -123,9 +124,19 @@ def brute_csr(n, edges):
     return offsets, targets
 
 
-def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None, seed: int = 0) -> Solution:
-    """Local search for independent set: seeded random greedy start, then
-    (1,2)-swaps until none applies.
+def degree_order_start(g: Graph, good: np.ndarray) -> np.ndarray:
+    """The local searches' start: each candidate, by ascending degree with
+    ties to the lower id, joins the set unless a neighbor already has."""
+    in_s = np.zeros(g.n, dtype=bool)
+    for v in sorted(np.flatnonzero(good).tolist(), key=lambda u: (g.degree(u), u)):
+        if not in_s[g.neighbors(v)].any():
+            in_s[v] = True
+    return in_s
+
+
+def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Local search for independent set: the degree-ordered greedy start of
+    :func:`degree_order_start`, then (1,2)-swaps until none applies.
 
     A swap replaces a solution node v by two of its non-adjacent one-tight
     neighbors (nodes whose single solution neighbor is v). First improvement:
@@ -139,14 +150,7 @@ def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None, seed
     cand = cand or Candidates.all()
     t0 = time.perf_counter()
     good = cand.mask_for(g)
-    rng = make_rng(seed)
-    pool = good.copy()
-    in_s = np.zeros(g.n, dtype=bool)
-    for v in rng.permutation(np.flatnonzero(good)):
-        if pool[v]:
-            in_s[v] = True
-            pool[v] = False
-            pool[g.neighbors(v)] = False
+    in_s = degree_order_start(g, good)
 
     # tightness and swap-candidate counts are only ever read at candidate
     # nodes, so count over the candidate adjacency rows alone

@@ -231,8 +231,8 @@ def test_a5_pruned_mis_speedups(mis_prune, capfd):
             times.append(sol.runtime)
         return float(np.median(times))
 
-    ls_up = speedup(median_runtime(local_search_mis, seed=11),
-                    median_runtime(local_search_mis, cand=cand, seed=11))
+    ls_up = speedup(median_runtime(local_search_mis),
+                    median_runtime(local_search_mis, cand=cand))
     gr_up = speedup(median_runtime(greedy_mis),
                     median_runtime(greedy_mis, cand=cand))
     ok = ls_up >= 2.0 and gr_up >= 1.2 and 0.0 < ratio < 0.9 and not invalid
@@ -266,12 +266,12 @@ def test_a7_randomized_solver_validity(capfd):
     returned solution must pass validation."""
     rng = np.random.default_rng(20240814)
     dispatch = {
-        ("mvc", "greedy"): lambda g, cand, s: greedy_mvc(g, cand),
-        ("mvc", "local-search"): lambda g, cand, s: local_search_mvc(g, cand, s),
-        ("mvc", "exact"): lambda g, cand, s: exact_solve(g, "mvc", cand, 30.0),
-        ("mis", "greedy"): lambda g, cand, s: greedy_mis(g, cand),
-        ("mis", "local-search"): lambda g, cand, s: local_search_mis(g, cand, s),
-        ("mis", "exact"): lambda g, cand, s: exact_solve(g, "mis", cand, 30.0),
+        ("mvc", "greedy"): lambda g, cand: greedy_mvc(g, cand),
+        ("mvc", "local-search"): lambda g, cand: local_search_mvc(g, cand),
+        ("mvc", "exact"): lambda g, cand: exact_solve(g, "mvc", cand, 30.0),
+        ("mis", "greedy"): lambda g, cand: greedy_mis(g, cand),
+        ("mis", "local-search"): lambda g, cand: local_search_mis(g, cand),
+        ("mis", "exact"): lambda g, cand: exact_solve(g, "mis", cand, 30.0),
     }
     violations = []
     trials = 0
@@ -288,7 +288,7 @@ def test_a7_randomized_solver_validity(capfd):
             if not mask.any():
                 mask[int(rng.integers(n))] = True
             cand = Candidates.restrict(NodeSet(mask))
-        sol = dispatch[(problem, solver)](g, cand, int(rng.integers(1 << 20)))
+        sol = dispatch[(problem, solver)](g, cand)
         rep = validate_solution(g, sol)
         if not rep.ok:
             violations.append(f"trial {trial} ({problem}/{solver}): "

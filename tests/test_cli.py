@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, precedence, and exit codes."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
 from prunesolve.cli import OUT_DIR_ENV, _write_good_nodes, main
-from prunesolve.gcn import load_params
+from prunesolve.gcn import init_params, load_params, save_params
 from prunesolve.graph import NodeSet, load_edge_list
 from prunesolve.training import load_labels
 
@@ -33,6 +34,13 @@ def make_labels(workdir, graph, name="labels.txt", problem="mvc"):
     assert run("label", "--graph", str(graph), "--problem", problem,
                "--out", str(out)) == 0
     return out
+
+
+def npz_bytes(**arrays):
+    """The bytes of an npz archive holding ``arrays``."""
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
 
 
 def make_teacher(workdir, graph, labels, name="teacher.npz"):
@@ -145,6 +153,47 @@ class TestTraining:
         assert run("train-teacher", "--graph", str(g), "--labels", str(labels),
                    "--hidden", "8,x") == 1
 
+    @pytest.mark.parametrize("command", ["train-teacher", "train-student"])
+    @pytest.mark.parametrize("n_labels", [2, 65])
+    def test_labels_must_fit_graph(self, workdir, capsys, command, n_labels):
+        # fewer labels than nodes used to train and exit 0, more to crash
+        # inside training and exit 2
+        g = make_graph(workdir)
+        labels = workdir / "labels.txt"
+        labels.write_text("# problem: mvc\n# oracle: greedy\n" + "".join(
+            f"{v} {v % 2} {('train', 'val')[v % 2]}\n" for v in range(n_labels)))
+        extra = []
+        if command == "train-student":
+            extra = ["--teacher", str(workdir / "teacher.npz")]
+            save_params(init_params([1, 4, 2], 0), extra[1])
+        capsys.readouterr()
+        assert run(command, "--graph", str(g), "--labels", str(labels), *extra,
+                   "--epochs", "2", "--out-params", str(workdir / "out.npz")) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"label file {labels} labels {n_labels} nodes, the graph has 60" in err
+        assert not (workdir / "out.npz").exists()
+
+    @pytest.mark.parametrize("body, detail", [
+        (npz_bytes(a=np.arange(3)), "'dims is not a file in the archive'"),
+        (npz_bytes(dims=np.array([1, 2]), w_self_0=np.ones((1, 2)))[:40],
+         "File is not a zip file"),
+    ], ids=["no-dims", "truncated"])
+    @pytest.mark.parametrize("argv", [
+        ["prune", "--params"],
+        ["train-student", "--labels", "labels.txt", "--teacher"],
+    ], ids=["prune", "train-student"])
+    def test_bad_parameter_archive_exits_1(self, workdir, capsys, argv, body, detail):
+        g = make_graph(workdir)
+        make_labels(workdir, g)
+        bad = workdir / "bad.npz"
+        bad.write_bytes(body)
+        capsys.readouterr()
+        assert run(*argv, str(bad), "--graph", str(g)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{bad}: not a parameter archive: {detail}" in err
+
 
 class TestPruneAndSolve:
     def test_prune_writes_good_nodes(self, workdir):
@@ -183,6 +232,19 @@ class TestPruneAndSolve:
                    "--seed", "3") == 0
         head = capsys.readouterr().out.splitlines()[0].split()
         assert head[0] == "mis" and head[1] == "local-search"
+
+    @pytest.mark.parametrize("problem", ["mvc", "mis"])
+    def test_local_search_ignores_seed(self, workdir, capsys, problem):
+        g = make_graph(workdir, n=2000, m=4)
+        outputs = []
+        for seed in ("1", "2"):
+            capsys.readouterr()
+            assert run("solve", "--graph", str(g), "--problem", problem,
+                       "--solver", "local-search", "--seed", seed) == 0
+            head, *ids = capsys.readouterr().out.splitlines()
+            outputs.append((head.split()[:4], ids))  # field 4 is the runtime
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == int(outputs[0][0][2]) > 0
 
     def test_solve_exact_reports_optimality(self, workdir, capsys):
         g = make_graph(workdir, n=30, m=1)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from _brute import restart_scan_local_search_mis
+from _brute import degree_order_start, restart_scan_local_search_mis
 from conftest import graph_from_edges, random_graph
-from prunesolve.graph import Graph, NodeSet, generate_ba, make_rng
+from prunesolve.graph import Graph, NodeSet, generate_ba
 from prunesolve.solvers import (
     MIS,
     MVC,
@@ -41,18 +41,6 @@ def gnm_graph(n, m, seed):
     keep = u != v
     key = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
     return Graph(n, np.stack([key // n, key % n], axis=1))
-
-
-def random_greedy_start(g, seed):
-    """The seeded random-greedy start of ``local_search_mis`` in full space."""
-    pool = np.ones(g.n, dtype=bool)
-    start = []
-    for v in make_rng(seed).permutation(g.n):
-        if pool[v]:
-            start.append(int(v))
-            pool[v] = False
-            pool[g.neighbors(v)] = False
-    return sorted(start)
 
 
 class TestCandidates:
@@ -212,97 +200,134 @@ class TestLocalSearchMvc:
     def test_full_space_cover_and_local_minimality(self):
         for seed in range(8):
             g = random_graph(40, 0.12, seed)
-            s = local_search_mvc(g, seed=seed)
+            s = local_search_mvc(g)
             assert coverage(g, s) == 1.0
             inside = g.count_in_mask(s.nodes.mask)
             degs = g.degrees()
             removable = s.nodes.mask & (inside == degs)
             assert not removable.any()
 
-    def test_deterministic_per_seed(self):
-        g = random_graph(40, 0.12, 3)
-        a = local_search_mvc(g, seed=11)
-        b = local_search_mvc(g, seed=11)
-        assert a.nodes == b.nodes
+    def test_full_space_drops_degree_order_independent_set(self):
+        # the sweep over all nodes drops exactly the nodes the degree-ordered
+        # start of the independent-set search takes
+        for seed in range(8):
+            g = random_graph(40, 0.12, seed)
+            s = local_search_mvc(g)
+            assert np.array_equal(s.nodes.mask, ~degree_order_start(g, np.ones(g.n, bool)))
 
     def test_restricted_subset_of_candidates(self):
         g = random_graph(40, 0.12, 4)
         cand = Candidates.from_ids(range(0, 40, 2), 40)
-        s = local_search_mvc(g, cand, seed=0)
+        s = local_search_mvc(g, cand)
         assert not (s.nodes.mask & ~cand.good.mask).any()
+
+    def test_restricted_matches_drop_sweep(self):
+        # from the candidates, drop by ascending degree each node whose
+        # neighbors are all still in
+        for seed in range(8):
+            g = random_graph(40, 0.12, seed)
+            keep = np.random.default_rng(seed).random(g.n) < 0.8
+            in_s = keep.copy()
+            for v in sorted(np.flatnonzero(keep), key=lambda u: (g.degree(u), u)):
+                if in_s[g.neighbors(v)].all():
+                    in_s[v] = False
+            s = local_search_mvc(g, Candidates.restrict(NodeSet(keep)))
+            assert np.array_equal(s.nodes.mask, in_s)
+
+
+REFERENCE_KINDS = ("ba", "gnm")
+REFERENCE_SIZES = (5, 9, 20, 50, 120, 300, 1000, 3000)
+
+
+def reference_spaces(kind, n):
+    """One graph of the restart-scan differential test, in full space and
+    with four candidate fractions."""
+    g = generate_ba(n, min(3, n - 1), n) if kind == "ba" else gnm_graph(n, 2 * n, n)
+    rng = np.random.default_rng(n)
+    yield g, Candidates.all()
+    for frac in (0.1, 0.4, 0.7, 0.9):
+        yield g, Candidates.from_ids(np.flatnonzero(rng.random(n) < frac), n)
 
 
 class TestLocalSearchMis:
-    def test_path_swap_reaches_endpoints(self, path3):
-        # whenever the random init lands on {1}, only a (1,2)-swap can
-        # produce the optimum, so sweeping seeds exercises the swap
-        for seed in range(30):
-            s = local_search_mis(path3, seed=seed)
-            assert sorted(s.nodes.ids()) == [0, 2]
+    def test_path_swap_reaches_endpoints(self):
+        # path 2-1-3 whose endpoints also touch node 0, which the leaf 4
+        # keeps out: degree order starts {1, 4}, and only a (1,2)-swap of
+        # the middle for the endpoints reaches the optimum
+        g = graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+        assert np.flatnonzero(degree_order_start(g, np.ones(5, bool))).tolist() == [1, 4]
+        assert local_search_mis(g).nodes.ids().tolist() == [2, 3, 4]
 
     def test_triangle_no_swap_possible(self, triangle):
-        for seed in range(10):
-            assert local_search_mis(triangle, seed=seed).size == 1
+        assert local_search_mis(triangle).size == 1
 
     def test_cycle5_reaches_optimum(self, cycle5):
-        for seed in range(10):
-            s = local_search_mis(cycle5, seed=seed)
-            assert s.size == 2
-            assert validate_solution(cycle5, s).ok
+        s = local_search_mis(cycle5)
+        assert s.size == 2
+        assert validate_solution(cycle5, s).ok
 
     def test_claw_swap_plus_free_nodes(self):
-        # if init takes the center, a swap plus re-adding freed nodes is
-        # required to reach the unique optimum {0,1,2,3}
-        g = graph_from_edges(5, [(4, i) for i in range(4)])
-        for seed in range(20):
-            s = local_search_mis(g, seed=seed)
-            assert sorted(s.nodes.ids()) == [0, 1, 2, 3]
+        # node 3 has degree 2; 0, 1, 2 and 6 have 3; 4 and 5 have 5. The
+        # start {0, 3} blocks every other node. The claw at 0 swaps to its
+        # one-tight pair {1, 2}, which frees its third leaf 6; re-adding 6
+        # gives the unique optimum.
+        g = graph_from_edges(7, [(0, 1), (0, 2), (0, 6), (1, 4), (1, 5), (2, 4),
+                                 (2, 5), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)])
+        assert np.flatnonzero(degree_order_start(g, np.ones(7, bool))).tolist() == [0, 3]
+        s = local_search_mis(g)
+        assert s.nodes.ids().tolist() == [1, 2, 3, 6]
+        assert s.nodes == restart_scan_local_search_mis(g).nodes
 
     def test_full_space_independent_and_maximal(self):
         for seed in range(8):
             g = random_graph(40, 0.12, seed)
-            s = local_search_mis(g, seed=seed)
+            s = local_search_mis(g)
             assert validate_solution(g, s).ok
 
     def test_restricted_stays_in_candidates(self):
         g = random_graph(40, 0.12, 5)
         cand = Candidates.from_ids(range(0, 40, 3), 40)
-        s = local_search_mis(g, cand, seed=1)
+        s = local_search_mis(g, cand)
         assert not (s.nodes.mask & ~cand.good.mask).any()
         assert validate_solution(g, s).ok
 
-    def test_deterministic_per_seed(self):
-        g = random_graph(40, 0.12, 6)
-        assert local_search_mis(g, seed=9).nodes == local_search_mis(g, seed=9).nodes
+    def test_star_leaves_start_whatever_their_ids(self, star5):
+        # the leaves (degree 1) come before the center (node 0), so the
+        # start is already the unique optimum
+        assert local_search_mis(star5).nodes.ids().tolist() == [1, 2, 3, 4]
 
     def test_swap_makes_a_lower_node_swappable(self):
-        # start {1, 6}: node 1 has one one-tight neighbor (0), node 6 has
-        # three (3, 4, 5). The swap 6 -> {3, 4} frees 5, which is re-added,
-        # and leaves 2 one-tight on 1, so node 1 (below 6) now swaps to
-        # {0, 2}. Scanning on upward from 6 would stop at {1, 3, 4, 5}.
-        g = graph_from_edges(7, [(0, 1), (1, 2), (2, 6), (3, 6), (4, 6), (5, 6)])
-        assert random_greedy_start(g, 22) == [1, 6]
-        s = local_search_mis(g, seed=22)
-        assert s.nodes.ids().tolist() == [0, 2, 3, 4, 5]
-        assert s.nodes == restart_scan_local_search_mis(g, seed=22).nodes
+        # start {0, 2, 3, 9}: node 2 has one one-tight neighbor (8), as 4
+        # and 10 are two-tight; node 3 has 6 and 7. The swap 3 -> {6, 7}
+        # leaves 10 one-tight on 2, so node 2 (below 3) now swaps to
+        # {8, 10}. Scanning on upward from 3 would stop at {0, 2, 6, 7, 9}.
+        g = graph_from_edges(11, [
+            (0, 4), (0, 5), (1, 6), (1, 7), (1, 9), (2, 4), (2, 8), (2, 10),
+            (3, 6), (3, 7), (3, 10), (4, 8), (5, 6), (5, 7), (5, 8), (5, 9),
+            (5, 10)])
+        start = degree_order_start(g, np.ones(11, bool))
+        assert np.flatnonzero(start).tolist() == [0, 2, 3, 9]
+        s = local_search_mis(g)
+        assert s.nodes.ids().tolist() == [0, 6, 7, 8, 9, 10]
+        assert s.nodes == restart_scan_local_search_mis(g).nodes
 
-    @pytest.mark.parametrize("kind", ["ba", "gnm"])
-    @pytest.mark.parametrize("n", [5, 9, 20, 50, 120, 300, 1000, 3000])
+    @pytest.mark.parametrize("kind", REFERENCE_KINDS)
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
     def test_matches_restart_scan_reference(self, kind, n):
-        # 15 cases per (kind, n): full space and four candidate fractions,
-        # three seeds each
-        g = generate_ba(n, min(3, n - 1), n) if kind == "ba" else gnm_graph(n, 2 * n, n)
-        rng = np.random.default_rng(n)
-        spaces = [None] + [
-            Candidates.from_ids(np.flatnonzero(rng.random(n) < frac), n)
-            for frac in (0.1, 0.4, 0.7, 0.9)
-        ]
-        for cand in spaces:
-            for seed in range(3):
-                got = local_search_mis(g, cand, seed=seed)
-                want = restart_scan_local_search_mis(g, cand, seed=seed)
-                assert got.nodes == want.nodes, (kind, n, seed)
-                assert got.restricted == want.restricted
+        for g, cand in reference_spaces(kind, n):
+            got = local_search_mis(g, cand)
+            want = restart_scan_local_search_mis(g, cand)
+            assert got.nodes == want.nodes, (kind, n)
+            assert got.restricted == want.restricted
+
+    def test_reference_cases_swap(self):
+        # the differential test above only means something if its 80 cases
+        # swap: with no swap, the result is the start
+        swapped = [not np.array_equal(local_search_mis(g, cand).nodes.mask,
+                                      degree_order_start(g, cand.mask_for(g)))
+                   for kind in REFERENCE_KINDS for n in REFERENCE_SIZES
+                   for g, cand in reference_spaces(kind, n)]
+        assert len(swapped) == 80 and sum(swapped) >= len(swapped) // 3, sum(swapped)
 
 
 class TestCrossSolverProperties:
@@ -310,7 +335,7 @@ class TestCrossSolverProperties:
         for seed in range(5):
             g = random_graph(14, 0.3, seed)
             best = exact_solve(g, MIS).size
-            assert best >= local_search_mis(g, seed=seed).size
+            assert best >= local_search_mis(g).size
             assert best >= greedy_mis(g).size
 
     def test_restricted_exact_beats_restricted_greedy(self):
@@ -334,9 +359,8 @@ class TestSolveDispatch:
         pairs = [
             (solve(g, MVC, "greedy", cand), greedy_mvc(g, cand)),
             (solve(g, MIS, "greedy"), greedy_mis(g)),
-            (solve(g, MVC, "local-search", seed=4), local_search_mvc(g, seed=4)),
-            (solve(g, MIS, "local-search", cand, seed=4),
-             local_search_mis(g, cand, seed=4)),
+            (solve(g, MVC, "local-search"), local_search_mvc(g)),
+            (solve(g, MIS, "local-search", cand), local_search_mis(g, cand)),
             (solve(g, MIS, "exact", cand), exact_solve(g, MIS, cand)),
         ]
         for got, want in pairs:
