@@ -87,6 +87,7 @@ class Graph:
         self.offsets = offsets
         self.targets = targets
         self._edges = None
+        self._lists = None
         self._csr = None
         self._mean_csr = None
 
@@ -118,6 +119,19 @@ class Graph:
             e.setflags(write=False)
             self._edges = e
         return self._edges
+
+    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor ids of every node as tuples of Python ints,
+        cached: entry ``v`` equals ``neighbors(v).tolist()``.
+
+        Pure-Python loops index these instead of slicing a numpy row per
+        node; tuples keep the shared cache read-only.
+        """
+        if self._lists is None:
+            t = self.targets.tolist()
+            o = self.offsets.tolist()
+            self._lists = tuple([tuple(t[o[v]:o[v + 1]]) for v in range(self.n)])
+        return self._lists
 
     def adjacency_csr(self) -> sp.csr_matrix:
         """Unweighted adjacency as a scipy CSR matrix (cached)."""

@@ -156,37 +156,44 @@ def format_solution(g: Graph, s: Solution) -> str:
 
 def greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
     """Greedy vertex cover: repeatedly take the eligible node covering the
-    most currently uncovered edges.
+    most currently uncovered edges, ties to the lowest id.
 
     Full space stops when every edge is covered; restricted space stops when
-    no eligible node covers any remaining edge. Residual degrees are kept
-    incrementally in a lazy max-heap.
+    no eligible node covers any remaining edge. Each eligible node with
+    uncovered edges has one entry in a min-heap of plain ints, ``v - r * n``,
+    which order as (-r, v). Residual degrees only fall, so an entry's r is
+    an upper bound on its node's residual degree. When a popped entry's r is
+    still exact, every other node's true (-degree, id) comes after it, so it
+    is the pick that a heap re-pushed on every decrement would make. A stale
+    entry is pushed back once at its true residual degree, or dropped at 0.
     """
     cand = cand or Candidates.all()
     t0 = time.perf_counter()
-    eligible = cand.mask_for(g)
-    in_cover = np.zeros(g.n, dtype=bool)
-    resid = g.degrees().astype(np.int64).copy()
+    n = g.n
+    adj = g.neighbor_lists()
+    deg = g.degrees()
+    in_cover = bytearray(n)
+    resid = deg.tolist()
     uncovered = g.m
-    heap = [(-int(resid[v]), int(v)) for v in np.flatnonzero(eligible & (resid > 0))]
+    eligible = np.flatnonzero(cand.mask_for(g) & (deg > 0)).tolist()
+    heap = [v - resid[v] * n for v in eligible]
     heapq.heapify(heap)
     while heap and uncovered:
-        negd, v = heapq.heappop(heap)
-        if in_cover[v] or resid[v] != -negd:
+        q, v = divmod(heapq.heappop(heap), n)
+        r = resid[v]
+        if r != -q:
+            if r:
+                heapq.heappush(heap, v - r * n)
             continue
-        if negd == 0:
-            break
-        in_cover[v] = True
-        uncovered -= int(resid[v])
-        nbrs = g.neighbors(v)
-        alive = nbrs[~in_cover[nbrs]]
-        resid[alive] -= 1
-        for u in alive:
-            if eligible[u]:
-                heapq.heappush(heap, (-int(resid[u]), int(u)))
+        in_cover[v] = 1
+        uncovered -= r
+        # a covered node has no heap entry, so its residual degree is never
+        # read again
+        for u in adj[v]:
+            resid[u] -= 1
     return Solution(
         problem=MVC,
-        nodes=NodeSet(in_cover),
+        nodes=NodeSet(np.frombuffer(in_cover, dtype=bool)),
         algorithm="greedy",
         runtime=time.perf_counter() - t0,
         restricted=not cand.is_all,
@@ -195,36 +202,44 @@ def greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
 
 def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     """Greedy independent set: repeatedly take the minimum-residual-degree
-    node of the pool and drop it and its neighbors from the pool.
+    node of the pool, ties to the lowest id, and drop it and its neighbors
+    from the pool.
 
     Residual degree counts neighbors still in the pool. The pool starts as
     the candidate set, so the result is independent with respect to the full
-    edge set and, in full-space mode, maximal.
+    edge set and, in full-space mode, maximal. The min-heap holds plain
+    ints, ``r * n + v`` for residual degree r, which order as (r, v), and
+    every drop from the pool pushes a new key for each pool neighbor.
+    Residual degrees only fall, so a node's newest entry pops before its
+    older ones, and the node leaves the pool at that pop or has already
+    left it: an entry is skipped exactly when its node is out of the pool.
     """
     cand = cand or Candidates.all()
     t0 = time.perf_counter()
-    pool = cand.mask_for(g).copy()
-    in_set = np.zeros(g.n, dtype=bool)
-    resid = g.count_in_mask(pool)
-    heap = [(int(resid[v]), int(v)) for v in np.flatnonzero(pool)]
+    n = g.n
+    adj = g.neighbor_lists()
+    mask = cand.mask_for(g)
+    pool = bytearray(mask.tobytes())
+    in_set = bytearray(n)
+    resid = g.count_in_mask(mask).tolist()
+    heap = [resid[v] * n + v for v in np.flatnonzero(mask).tolist()]
     heapq.heapify(heap)
     while heap:
-        d, v = heapq.heappop(heap)
-        if not pool[v] or resid[v] != d:
+        v = heapq.heappop(heap) % n
+        if not pool[v]:
             continue
-        in_set[v] = True
-        nbrs = g.neighbors(v)
-        removed = [v] + [int(u) for u in nbrs[pool[nbrs]]]
-        pool[removed] = False
+        in_set[v] = 1
+        removed = [v] + [u for u in adj[v] if pool[u]]
         for r in removed:
-            rn = g.neighbors(r)
-            alive = rn[pool[rn]]
-            resid[alive] -= 1
-            for u in alive:
-                heapq.heappush(heap, (int(resid[u]), int(u)))
+            pool[r] = 0
+        for r in removed:
+            for u in adj[r]:
+                if pool[u]:
+                    resid[u] -= 1
+                    heapq.heappush(heap, resid[u] * n + u)
     return Solution(
         problem=MIS,
-        nodes=NodeSet(in_set),
+        nodes=NodeSet(np.frombuffer(in_set, dtype=bool)),
         algorithm="greedy",
         runtime=time.perf_counter() - t0,
         restricted=not cand.is_all,
@@ -419,7 +434,7 @@ def _bb_mvc(sub: Graph, deadline: float) -> tuple[set[int], bool]:
     """
     best = set(greedy_mvc(sub).nodes.ids().tolist())
     best_size = len(best)
-    adj = {v: set(sub.neighbors(v).tolist()) for v in range(sub.n)}
+    adj = {v: set(nbrs) for v, nbrs in enumerate(sub.neighbor_lists())}
     chosen: list[int] = []
     undo: list[tuple[int, set[int]]] = []
 
@@ -535,9 +550,12 @@ def exact_solve(
     # a timed-out cover need not be minimal, so its complement need not be
     # maximal; additions only tighten, so one ascending pass with an inline
     # recheck adds every free candidate (none when optimal)
-    for v in np.flatnonzero(eligible & ~in_set & (g.count_in_mask(in_set) == 0)):
-        if not in_set[g.neighbors(v)].any():
-            in_set[v] = True
+    free = np.flatnonzero(eligible & ~in_set & (g.count_in_mask(in_set) == 0)).tolist()
+    if free:
+        adj = g.neighbor_lists()
+        for v in free:
+            if not any(in_set[u] for u in adj[v]):
+                in_set[v] = True
     return Solution(
         problem=MIS,
         nodes=NodeSet(in_set),

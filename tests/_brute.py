@@ -7,15 +7,19 @@ builds neighbour lists with a lexsort; they check the vectorized loader and
 ``Graph``. ``restart_scan_local_search_mis`` is the (1,2)-swap local search
 that rescans the whole solution after every swap; it checks the worklist
 version in the package. ``degree_order_start`` is the start both versions
-make, written independently of the package's.
+make, written independently of the package's. ``heap_greedy_mvc`` and
+``heap_greedy_mis`` are the greedy solvers as they were over numpy rows and
+tuple-keyed heaps, one push per residual-degree change; they check the
+package's list-based greedy solvers.
 """
 
+import heapq
 import time
 
 import numpy as np
 
 from prunesolve.graph import EdgeListParseError, EmptyGraphError, Graph, NodeSet
-from prunesolve.solvers import MIS, Candidates, Solution
+from prunesolve.solvers import MIS, MVC, Candidates, Solution
 
 
 def _subset_tables(g):
@@ -225,6 +229,83 @@ def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None) -> S
         problem=MIS,
         nodes=NodeSet(in_s),
         algorithm="local-search",
+        runtime=time.perf_counter() - t0,
+        restricted=not cand.is_all,
+    )
+
+
+def heap_greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Greedy vertex cover: repeatedly take the eligible node covering the
+    most currently uncovered edges.
+
+    Full space stops when every edge is covered; restricted space stops when
+    no eligible node covers any remaining edge. Residual degrees are kept
+    incrementally in a lazy max-heap.
+    """
+    cand = cand or Candidates.all()
+    t0 = time.perf_counter()
+    eligible = cand.mask_for(g)
+    in_cover = np.zeros(g.n, dtype=bool)
+    resid = g.degrees().astype(np.int64).copy()
+    uncovered = g.m
+    heap = [(-int(resid[v]), int(v)) for v in np.flatnonzero(eligible & (resid > 0))]
+    heapq.heapify(heap)
+    while heap and uncovered:
+        negd, v = heapq.heappop(heap)
+        if in_cover[v] or resid[v] != -negd:
+            continue
+        if negd == 0:
+            break
+        in_cover[v] = True
+        uncovered -= int(resid[v])
+        nbrs = g.neighbors(v)
+        alive = nbrs[~in_cover[nbrs]]
+        resid[alive] -= 1
+        for u in alive:
+            if eligible[u]:
+                heapq.heappush(heap, (-int(resid[u]), int(u)))
+    return Solution(
+        problem=MVC,
+        nodes=NodeSet(in_cover),
+        algorithm="greedy",
+        runtime=time.perf_counter() - t0,
+        restricted=not cand.is_all,
+    )
+
+
+def heap_greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Greedy independent set: repeatedly take the minimum-residual-degree
+    node of the pool and drop it and its neighbors from the pool.
+
+    Residual degree counts neighbors still in the pool. The pool starts as
+    the candidate set, so the result is independent with respect to the full
+    edge set and, in full-space mode, maximal.
+    """
+    cand = cand or Candidates.all()
+    t0 = time.perf_counter()
+    pool = cand.mask_for(g).copy()
+    in_set = np.zeros(g.n, dtype=bool)
+    resid = g.count_in_mask(pool)
+    heap = [(int(resid[v]), int(v)) for v in np.flatnonzero(pool)]
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not pool[v] or resid[v] != d:
+            continue
+        in_set[v] = True
+        nbrs = g.neighbors(v)
+        removed = [v] + [int(u) for u in nbrs[pool[nbrs]]]
+        pool[removed] = False
+        for r in removed:
+            rn = g.neighbors(r)
+            alive = rn[pool[rn]]
+            resid[alive] -= 1
+            for u in alive:
+                heapq.heappush(heap, (int(resid[u]), int(u)))
+    return Solution(
+        problem=MIS,
+        nodes=NodeSet(in_set),
+        algorithm="greedy",
         runtime=time.perf_counter() - t0,
         restricted=not cand.is_all,
     )

@@ -64,6 +64,19 @@ class TestGraphStructure:
             assert np.array_equal(rebuilt.targets, targets)
             rebuilt.validate()
 
+    @pytest.mark.parametrize("g", [
+        generate_ba(300, 3, 4),
+        Graph(6, np.empty((0, 2), dtype=np.int64)),
+        Graph(0, np.empty((0, 2), dtype=np.int64)),
+    ], ids=["ba", "edgeless", "n=0"])
+    def test_neighbor_lists_match_rows(self, g):
+        lists = g.neighbor_lists()
+        assert len(lists) == g.n
+        for v in range(g.n):
+            assert lists[v] == tuple(g.neighbors(v).tolist())
+            assert all(type(u) is int for u in lists[v])
+        assert g.neighbor_lists() is lists
+
     def test_edge_array_canonical(self, cycle5):
         e = cycle5.edge_array()
         assert e.shape == (5, 2)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from _brute import degree_order_start, restart_scan_local_search_mis
+from _brute import (
+    degree_order_start,
+    heap_greedy_mis,
+    heap_greedy_mvc,
+    restart_scan_local_search_mis,
+)
 from conftest import graph_from_edges, random_graph
 from prunesolve.graph import Graph, NodeSet, generate_ba
 from prunesolve.solvers import (
@@ -179,6 +184,59 @@ class TestGreedyMis:
             g = random_graph(30, 0.15, seed)
             s = greedy_mis(g)
             assert validate_solution(g, s).ok
+
+
+def greedy_reference_graphs():
+    """The greedy differential test's graphs: small named cases, then 240
+    random ER (G(n, m)) and BA graphs with n <= 300, a third of them with
+    isolated nodes added and all node ids shuffled."""
+    none = np.empty((0, 2), dtype=np.int64)
+    yield "n=0", Graph(0, none)
+    yield "n=1", Graph(1, none)
+    yield "edgeless", Graph(7, none)
+    yield "star", graph_from_edges(6, [(0, i) for i in range(1, 6)])
+    yield "star, centre last", graph_from_edges(6, [(5, i) for i in range(5)])
+    yield "K5", graph_from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    rng = np.random.default_rng(11)
+    for i in range(240):
+        n = int(rng.integers(2, 301))
+        if i % 2:
+            g = gnm_graph(n, int(rng.integers(0, 3 * n)), i)
+        else:
+            g = generate_ba(n, int(rng.integers(1, min(4, n - 1) + 1)), i)
+        if i % 3 == 0:
+            extra = int(rng.integers(1, 20))
+            perm = rng.permutation(n + extra)
+            g = Graph(n + extra, perm[g.edge_array()])
+        yield f"{'gnm' if i % 2 else 'ba'} #{i}", g
+
+
+def greedy_reference_spaces(g, rng):
+    """Full space, then empty, full, single-node and random candidate sets."""
+    yield Candidates.all()
+    yield Candidates.from_ids([], g.n)
+    yield Candidates.from_ids(np.arange(g.n), g.n)
+    if g.n:
+        yield Candidates.from_ids([int(rng.integers(g.n))], g.n)
+    for frac in (0.2, 0.5, 0.8):
+        yield Candidates.from_ids(np.flatnonzero(rng.random(g.n) < frac), g.n)
+
+
+class TestGreedyMatchesHeapReference:
+    @pytest.mark.parametrize("solver, reference", [
+        (greedy_mvc, heap_greedy_mvc), (greedy_mis, heap_greedy_mis),
+    ], ids=["mvc", "mis"])
+    def test_same_sets_as_tuple_heap(self, solver, reference):
+        rng = np.random.default_rng(5)
+        cases = 0
+        for name, g in greedy_reference_graphs():
+            for cand in greedy_reference_spaces(g, rng):
+                got = solver(g, cand)
+                want = reference(g, cand)
+                assert got.nodes == want.nodes, (name, cand.good)
+                assert got.restricted == want.restricted
+                cases += 1
+        assert cases == 6 * 7 - 1 + 240 * 7
 
 
 class TestLocalSearchMvc:
