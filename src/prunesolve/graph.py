@@ -42,7 +42,7 @@ def make_rng(seed: int) -> np.random.Generator:
 class Graph:
     """Immutable undirected simple graph stored as offsets + sorted targets.
 
-    Invariants (see :meth:`validate`):
+    Invariants:
       * no self-loops, no duplicate neighbor entries,
       * neighbor lists sorted ascending,
       * symmetric: ``u in N(v)`` iff ``v in N(u)``,
@@ -167,27 +167,6 @@ class Graph:
             out[nonempty] = sums
         return out
 
-    def validate(self) -> None:
-        """Recheck all structural invariants; raises ValueError on violation."""
-        if len(self.offsets) != self.n + 1 or self.offsets[0] != 0:
-            raise ValueError("malformed offsets")
-        if self.offsets[-1] != len(self.targets) or len(self.targets) != 2 * self.m:
-            raise ValueError("neighbor list length does not equal 2m")
-        degs = self.degrees()
-        if degs.min(initial=0) < 0:
-            raise ValueError("negative degree")
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), degs)
-        if np.any(rows == self.targets):
-            raise ValueError("self-loop present")
-        if self.n and len(self.targets):
-            inner = np.diff(self.targets)
-            boundary = np.diff(rows).astype(bool)
-            if np.any((inner <= 0) & ~boundary):
-                raise ValueError("neighbor list not strictly increasing")
-        a = self.adjacency_csr()
-        if (a != a.T).nnz != 0:
-            raise ValueError("adjacency not symmetric")
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -211,10 +190,6 @@ class NodeSet:
         mask = np.zeros(n, dtype=bool)
         mask[ids] = True
         return cls(mask)
-
-    @classmethod
-    def empty(cls, n: int) -> "NodeSet":
-        return cls(np.zeros(n, dtype=bool))
 
     @classmethod
     def full(cls, n: int) -> "NodeSet":

@@ -402,21 +402,43 @@ def _induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
 
 
 def _matching_lb(adj: dict[int, set[int]]) -> int:
-    """Size of a greedy maximal matching: a vertex-cover lower bound."""
-    used: set[int] = set()
-    size = 0
-    for v in sorted(adj):
-        if v in used:
+    """Size of a matching in ``adj``: a vertex-cover lower bound, because a
+    cover holds an endpoint of every matched edge.
+
+    Nodes are matched by ascending degree, ties to the lower id, each to its
+    lowest-degree free neighbor (again ties to the lower id), which gives a
+    maximal matching. Then one pass, in the same order, over the nodes left
+    free grows it along augmenting paths of three edges: a free v, its
+    neighbor u, u's mate w and a free neighbor x != v of w (the first such
+    path found, x of lowest degree) become the pairs (v, u) and (w, x).
+    Matched nodes stay matched, so every neighbor of a free node has a mate.
+    """
+    order = [v for _, v in sorted(zip(map(len, adj.values()), adj))]
+    rank = {v: i for i, v in enumerate(order)}.__getitem__
+    mate: dict[int, int] = {}
+    for v in order:
+        if v not in mate:
+            free = adj[v].difference(mate)
+            if free:
+                u = min(free, key=rank)
+                mate[v] = u
+                mate[u] = v
+    size = len(mate) // 2
+    for v in order:
+        if v in mate:
             continue
-        partner = None
-        for u in sorted(adj[v]):
-            if u not in used:
-                partner = u
+        for u in adj[v]:
+            w = mate[u]
+            free = adj[w].difference(mate)
+            free.discard(v)
+            if free:
+                x = min(free, key=rank)
+                mate[v] = u
+                mate[u] = v
+                mate[w] = x
+                mate[x] = w
+                size += 1
                 break
-        if partner is not None:
-            used.add(v)
-            used.add(partner)
-            size += 1
     return size
 
 
@@ -431,41 +453,53 @@ def _bb_mvc(sub: Graph, deadline: float) -> tuple[set[int], bool]:
     run. A branch pushes its exclude frame below its include frame, so the
     include side is searched first. Returns (best cover found, proven-optimal
     flag).
+
+    The reductions work from ``low``, a min-heap of node ids that holds
+    every node of degree 0 or 1: the root seeds it, and removing a node
+    pushes each neighbor whose degree falls to 1 or less. Ids no longer in
+    the graph are skipped; a degree-0 node is removed, and a degree-1 node's
+    neighbor joins the cover, lowest id first. Degrees only fall until the
+    heap is empty, and every frame starts from a reduced graph, so the
+    reduced graph, and with it the branch node (maximum degree, lowest id),
+    depends only on the current adjacency. Any valid bound prunes only
+    subtrees without a strictly smaller cover, so the incumbents, and the
+    returned cover, are those of the unbounded search: a stronger bound
+    changes only how many nodes are visited.
     """
     best = set(greedy_mvc(sub).nodes.ids().tolist())
     best_size = len(best)
     adj = {v: set(nbrs) for v, nbrs in enumerate(sub.neighbor_lists())}
     chosen: list[int] = []
     undo: list[tuple[int, set[int]]] = []
+    low = [v for v, nbrs in adj.items() if len(nbrs) <= 1]  # ascending: a heap
 
     def remove_node(v: int) -> None:
         nbrs = adj.pop(v)
         for u in nbrs:
-            adj[u].discard(v)
+            rest = adj[u]
+            rest.discard(v)
+            if len(rest) <= 1:
+                heapq.heappush(low, u)
         undo.append((v, nbrs))
 
     def reduce_() -> None:
-        while True:
-            _check_time(deadline)
-            deg0 = [v for v in adj if not adj[v]]
-            if deg0:
-                for v in deg0:
-                    remove_node(v)
+        while low:
+            v = heapq.heappop(low)
+            nbrs = adj.get(v)
+            if nbrs is None:
                 continue
-            leaf = None
-            for v in adj:
-                if len(adj[v]) == 1:
-                    leaf = v
-                    break
-            if leaf is None:
-                return
-            u = next(iter(adj[leaf]))
-            chosen.append(u)
-            remove_node(u)
+            if nbrs:
+                _check_time(deadline)
+                (u,) = nbrs
+                chosen.append(u)
+                remove_node(u)
+            else:
+                remove_node(v)
 
     stack = [(0, 0, (), None)]
     try:
         while stack:
+            _check_time(deadline)
             mark_u, mark_c, take, drop = stack.pop()
             while len(undo) > mark_u:
                 v, nbrs = undo.pop()
@@ -483,11 +517,15 @@ def _bb_mvc(sub: Graph, deadline: float) -> tuple[set[int], bool]:
                 if len(chosen) < best_size:
                     best = set(chosen)
                     best_size = len(chosen)
-            elif len(chosen) + _matching_lb(adj) < best_size:
-                v = min(adj, key=lambda u: (-len(adj[u]), u))
+            # a matching has at most len(adj) // 2 edges, so when that is
+            # too few to prune, the bound is not computed
+            elif (len(chosen) + len(adj) // 2 < best_size
+                  or len(chosen) + _matching_lb(adj) < best_size):
+                top = max(map(len, adj.values()))
+                v = min(u for u, nbrs in adj.items() if len(nbrs) == top)
                 # exclude v (all its neighbors join the cover) below include v
                 mark_u, mark_c = len(undo), len(chosen)
-                stack.append((mark_u, mark_c, sorted(adj[v]), v))
+                stack.append((mark_u, mark_c, tuple(adj[v]), v))
                 stack.append((mark_u, mark_c, (v,), None))
         return best, True
     except _Deadline:
@@ -506,12 +544,16 @@ def exact_solve(
     The search (:func:`_bb_mvc`) is a depth-first loop over an explicit
     stack, seeded with the greedy cover as its incumbent, so it neither
     recurses nor changes any process-wide setting. Degree-0 and degree-1
-    reductions run at every search node; branching is on the maximum-degree
-    undecided node, and a greedy maximal matching bounds covers from below.
-    Restricted vertex cover is lexicographic: cover every edge touching a
-    candidate, then minimize solution size. An independent set is the
-    complement of a minimum vertex cover of the candidate-induced subgraph
-    (all of the graph in full space).
+    reductions run at every search node from a worklist of low-degree nodes,
+    lowest id first; branching is on the maximum-degree undecided node,
+    ties to the lowest id; and a matching, greedy by ascending degree and
+    grown along three-edge augmenting paths, bounds covers from below. The
+    reduced graph and the branch node depend only on the current graph, so
+    the bound decides only how much is searched, never which cover is
+    returned. Restricted vertex cover is lexicographic: cover every edge
+    touching a candidate, then minimize solution size. An independent set
+    is the complement of a minimum vertex cover of the candidate-induced
+    subgraph (all of the graph in full space).
 
     On timeout the best incumbent found so far is returned with
     ``optimal=False``; an independent set is then topped up with free

@@ -10,16 +10,31 @@ version in the package. ``degree_order_start`` is the start both versions
 make, written independently of the package's. ``heap_greedy_mvc`` and
 ``heap_greedy_mis`` are the greedy solvers as they were over numpy rows and
 tuple-keyed heaps, one push per residual-degree change; they check the
-package's list-based greedy solvers.
+package's list-based greedy solvers. ``rescan_bb_mvc`` and
+``id_order_matching_lb`` are the exact search as it was, rescanning the
+whole graph for reductions and bounding with an id-ordered greedy matching;
+they check the worklist search and its augmented matching bound.
+``brute_max_matching`` is a maximum matching's size by recursion, and
+``forest_mvc_size`` strips leaves to find a forest's minimum cover size.
+``validate`` rechecks a ``Graph``'s structural invariants.
 """
 
+import functools
 import heapq
 import time
 
 import numpy as np
 
 from prunesolve.graph import EdgeListParseError, EmptyGraphError, Graph, NodeSet
-from prunesolve.solvers import MIS, MVC, Candidates, Solution
+from prunesolve.solvers import (
+    MIS,
+    MVC,
+    Candidates,
+    Solution,
+    _check_time,
+    _Deadline,
+    greedy_mvc,
+)
 
 
 def _subset_tables(g):
@@ -309,3 +324,166 @@ def heap_greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
         runtime=time.perf_counter() - t0,
         restricted=not cand.is_all,
     )
+
+
+def id_order_matching_lb(adj: dict[int, set[int]]) -> int:
+    """Size of a greedy maximal matching: a vertex-cover lower bound."""
+    used: set[int] = set()
+    size = 0
+    for v in sorted(adj):
+        if v in used:
+            continue
+        partner = None
+        for u in sorted(adj[v]):
+            if u not in used:
+                partner = u
+                break
+        if partner is not None:
+            used.add(v)
+            used.add(partner)
+            size += 1
+    return size
+
+
+def rescan_bb_mvc(sub: Graph, deadline: float) -> tuple[set[int], bool]:
+    """Branch and bound for minimum vertex cover, depth first over an
+    explicit stack.
+
+    The incumbent starts as :func:`greedy_mvc`'s cover. A stack frame is
+    (undo mark, chosen mark, nodes to take into the cover, node to drop):
+    popping it rewinds the undo trail and ``chosen`` to its marks and applies
+    its choice; then the reductions, the leaf check and the matching bound
+    run. A branch pushes its exclude frame below its include frame, so the
+    include side is searched first. Returns (best cover found, proven-optimal
+    flag).
+    """
+    best = set(greedy_mvc(sub).nodes.ids().tolist())
+    best_size = len(best)
+    adj = {v: set(nbrs) for v, nbrs in enumerate(sub.neighbor_lists())}
+    chosen: list[int] = []
+    undo: list[tuple[int, set[int]]] = []
+
+    def remove_node(v: int) -> None:
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            adj[u].discard(v)
+        undo.append((v, nbrs))
+
+    def reduce_() -> None:
+        while True:
+            _check_time(deadline)
+            deg0 = [v for v in adj if not adj[v]]
+            if deg0:
+                for v in deg0:
+                    remove_node(v)
+                continue
+            leaf = None
+            for v in adj:
+                if len(adj[v]) == 1:
+                    leaf = v
+                    break
+            if leaf is None:
+                return
+            u = next(iter(adj[leaf]))
+            chosen.append(u)
+            remove_node(u)
+
+    stack = [(0, 0, (), None)]
+    try:
+        while stack:
+            mark_u, mark_c, take, drop = stack.pop()
+            while len(undo) > mark_u:
+                v, nbrs = undo.pop()
+                adj[v] = nbrs
+                for u in nbrs:
+                    adj[u].add(v)
+            del chosen[mark_c:]
+            for u in take:
+                chosen.append(u)
+                remove_node(u)
+            if drop is not None:
+                remove_node(drop)
+            reduce_()
+            if not adj:
+                if len(chosen) < best_size:
+                    best = set(chosen)
+                    best_size = len(chosen)
+            elif len(chosen) + id_order_matching_lb(adj) < best_size:
+                v = min(adj, key=lambda u: (-len(adj[u]), u))
+                # exclude v (all its neighbors join the cover) below include v
+                mark_u, mark_c = len(undo), len(chosen)
+                stack.append((mark_u, mark_c, sorted(adj[v]), v))
+                stack.append((mark_u, mark_c, (v,), None))
+        return best, True
+    except _Deadline:
+        return best, False
+
+
+
+def brute_max_matching(g: Graph) -> int:
+    """Maximum matching size: the lowest free node is either left unmatched
+    or matched to each free neighbor in turn, memoized on the free set."""
+    nbrs = [sum(1 << u for u in row) for row in g.neighbor_lists()]
+
+    @functools.cache
+    def best(free: int) -> int:
+        if not free:
+            return 0
+        v = (free & -free).bit_length() - 1
+        rest = free & ~(1 << v)
+        out = best(rest)
+        cand = nbrs[v] & rest
+        while cand:
+            u = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            out = max(out, 1 + best(rest & ~(1 << u)))
+        return out
+
+    return best((1 << g.n) - 1)
+
+def forest_mvc_size(g: Graph) -> int:
+    """Minimum vertex cover size of a forest.
+
+    Some minimum cover holds the neighbor of any leaf, so take it and delete
+    its edges, until no edge is left. Raises ValueError if edges remain with
+    no leaf among their endpoints, which happens only on a cycle.
+    """
+    adj = [set(nbrs) for nbrs in g.neighbor_lists()]
+    leaves = [v for v in range(g.n) if len(adj[v]) == 1]
+    size = 0
+    while leaves:
+        v = leaves.pop()
+        if len(adj[v]) != 1:  # isolated since it was listed
+            continue
+        (u,) = adj[v]
+        size += 1
+        for w in adj[u]:
+            adj[w].discard(u)
+            if len(adj[w]) == 1:
+                leaves.append(w)
+        adj[u] = set()
+    if any(adj):
+        raise ValueError("graph has a cycle")
+    return size
+
+
+def validate(g: Graph) -> None:
+    """Recheck all structural invariants; raises ValueError on violation."""
+    if len(g.offsets) != g.n + 1 or g.offsets[0] != 0:
+        raise ValueError("malformed offsets")
+    if g.offsets[-1] != len(g.targets) or len(g.targets) != 2 * g.m:
+        raise ValueError("neighbor list length does not equal 2m")
+    degs = g.degrees()
+    if degs.min(initial=0) < 0:
+        raise ValueError("negative degree")
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), degs)
+    if np.any(rows == g.targets):
+        raise ValueError("self-loop present")
+    if g.n and len(g.targets):
+        inner = np.diff(g.targets)
+        boundary = np.diff(rows).astype(bool)
+        if np.any((inner <= 0) & ~boundary):
+            raise ValueError("neighbor list not strictly increasing")
+    a = g.adjacency_csr()
+    if (a != a.T).nnz != 0:
+        raise ValueError("adjacency not symmetric")

@@ -290,7 +290,7 @@ class TestPruneAndSolve:
         out = workdir / "good.txt"
         _write_good_nodes(NodeSet.from_ids([12, 3, 40], 60), out)
         assert out.read_bytes() == b"# good nodes: 3\n3\n12\n40\n"
-        _write_good_nodes(NodeSet.empty(5), out)
+        _write_good_nodes(NodeSet(np.zeros(5, dtype=bool)), out)
         assert out.read_bytes() == b"# good nodes: 0\n"
 
     @pytest.mark.parametrize("body, message", [

@@ -6,7 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from _brute import brute_mis, brute_mvc
+from _brute import (
+    brute_max_matching,
+    brute_mis,
+    brute_mvc,
+    forest_mvc_size,
+    id_order_matching_lb,
+    rescan_bb_mvc,
+)
 from conftest import graph_from_edges, random_graph
 from prunesolve import solvers
 from prunesolve.graph import Graph, NodeSet, generate_ba
@@ -41,7 +48,7 @@ class TestHandCases:
         assert exact_solve(edgeless6, MIS).size == 6
 
     def test_empty_candidates(self, path3):
-        empty = Candidates.restrict(NodeSet.empty(3))
+        empty = Candidates.restrict(NodeSet(np.zeros(3, dtype=bool)))
         mvc = exact_solve(path3, MVC, empty)
         assert mvc.size == 0 and coverage(path3, mvc) == 0.0
         assert exact_solve(path3, MIS, empty).size == 0
@@ -155,6 +162,19 @@ class TestSearchBehavior:
         assert h.hexdigest() == (
             "1bd689a536a90acc093a3e3ae8b8c83f5d30e585b55f572692258e8b357a772f")
 
+    def test_deadline_read_before_bounding(self, monkeypatch):
+        # every popped frame reads the clock, not only the degree-1
+        # reductions, which K(3,3) never runs; its greedy cover equals the
+        # matching bound's limit, so the root would be bounded
+        def refuse(adj):
+            raise AssertionError("bounded after the deadline")
+
+        monkeypatch.setattr(solvers, "_matching_lb", refuse)
+        g = graph_from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        s = exact_solve(g, MVC, time_limit=1e-9)
+        assert s.optimal is False
+        assert coverage(g, s) == 1.0
+
     def test_timed_out_cover_complement_is_topped_up(self, monkeypatch):
         # a search cut short may return a valid cover that is not minimal;
         # the worst case is every node of its input, whose complement is empty
@@ -174,3 +194,120 @@ class TestSearchBehavior:
         mask = part.nodes.mask
         assert not (mask & ~elig).any()
         assert not (elig & ~mask & (g.count_in_mask(mask) == 0)).any()
+
+
+def _gnm(n, m, rng):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = rng.choice(len(pairs), size=min(m, len(pairs)), replace=False)
+    return graph_from_edges(n, [pairs[i] for i in sorted(keep)])
+
+
+def _forest(n, rng):
+    # each node joins a random earlier node, or starts a new tree
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n) if rng.random() < 0.8]
+    return graph_from_edges(n, edges)
+
+
+def _with_isolated(g, k, rng):
+    # k extra isolated nodes, then every id shuffled
+    perm = rng.permutation(g.n + k)
+    return graph_from_edges(g.n + k, perm[g.edge_array()])
+
+
+def _family(name, count=65):
+    rng = np.random.default_rng(["gnm", "ba", "forest", "isolated"].index(name))
+    graphs = []
+    for i in range(count):
+        if name == "gnm":
+            n = int(rng.integers(2, 37))
+            graphs.append(_gnm(n, int(rng.integers(0, 5 * n // 2 + 1)), rng))
+        elif name == "ba":
+            m = 1 + i % 4
+            graphs.append(generate_ba(int(rng.integers(m + 1, 41)), m, i))
+        elif name == "forest":
+            graphs.append(_forest(int(rng.integers(1, 61)), rng))
+        else:
+            n = int(rng.integers(2, 31))
+            base = (_gnm(n, int(rng.integers(0, 2 * n + 1)), rng) if i % 2
+                    else generate_ba(max(n, 5), 1 + i % 4, i))
+            graphs.append(_with_isolated(base, int(rng.integers(1, 9)), rng))
+    return graphs
+
+
+def _all_solves(graphs):
+    """Every (graph, search space, problem) solve, in one fixed order."""
+    out = []
+    for i, g in enumerate(graphs):
+        elig = np.random.default_rng(i).random(g.n) < 0.6
+        for cand in (None, Candidates.restrict(NodeSet(elig))):
+            for problem in (MVC, MIS):
+                out.append(exact_solve(g, problem, cand))
+    return out
+
+
+class TestAgainstRescanSearch:
+    """The worklist search against the rescanning search it replaced
+    (``rescan_bb_mvc``, with its id-ordered greedy matching bound)."""
+
+    @pytest.mark.parametrize("family", ["gnm", "ba", "forest", "isolated"])
+    def test_same_sizes_and_flags(self, family, monkeypatch):
+        graphs = _family(family)
+        new = _all_solves(graphs)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "_bb_mvc", rescan_bb_mvc)
+            old = _all_solves(graphs)
+        assert len(new) == 4 * len(graphs)
+        for s, t in zip(new, old):
+            assert (s.problem, s.size, s.optimal) == (t.problem, t.size, t.optimal)
+            assert s.optimal is True
+        for k, s in enumerate(new):
+            assert validate_solution(graphs[k // 4], s).ok
+        if family == "forest":  # full-space covers come first in each four
+            assert [s.size for s in new[::4]] == [forest_mvc_size(g) for g in graphs]
+
+    @pytest.mark.parametrize("family", ["gnm", "ba", "forest", "isolated"])
+    def test_output_does_not_depend_on_bound(self, family, monkeypatch):
+        # the reduced graph and the branch node depend only on the current
+        # adjacency, so a weaker bound visits more nodes but returns the
+        # same cover
+        graphs = _family(family)
+        new = _all_solves(graphs)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "_matching_lb", id_order_matching_lb)
+            weak = _all_solves(graphs)
+        for s, t in zip(new, weak):
+            assert s.nodes == t.nodes
+
+
+class TestMatchingBound:
+    def test_never_above_maximum_matching_or_cover(self):
+        rng = np.random.default_rng(5)
+        graphs = [_gnm(n, int(rng.integers(0, 2 * n + 1)), rng)
+                  for n in rng.integers(1, 13, size=120)]
+        graphs += [_forest(int(n), rng) for n in rng.integers(1, 13, size=40)]
+        tight = 0
+        for g in graphs:
+            adj = {v: set(nbrs) for v, nbrs in enumerate(g.neighbor_lists())}
+            before = {v: set(nbrs) for v, nbrs in adj.items()}
+            lb = solvers._matching_lb(adj)
+            optimum = brute_mvc(g)[0]
+            # the bound is the size of a matching, which is at most a
+            # maximum matching, which is at most any cover
+            assert 0 <= lb <= brute_max_matching(g) <= optimum
+            assert adj == before  # the search keeps using adj after bounding
+            tight += lb == optimum
+        # a bound one too high fails on every graph where it is tight
+        assert tight > len(graphs) // 2
+
+
+class TestTrees:
+    def test_ba_tree_solved_by_leaf_reductions(self):
+        # a tree is solved by degree-0 and degree-1 reductions alone, so a
+        # 30K-node one must finish well inside the limit
+        g = generate_ba(30000, 1, 0)
+        mvc = exact_solve(g, MVC, time_limit=5)
+        mis = exact_solve(g, MIS, time_limit=5)
+        assert mvc.optimal is True and mis.optimal is True
+        assert mvc.size == forest_mvc_size(g)
+        assert mis.size == g.n - mvc.size
+        assert validate_solution(g, mvc).ok and validate_solution(g, mis).ok

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _brute import brute_csr, brute_edge_list
+from _brute import brute_csr, brute_edge_list, validate
 from conftest import graph_from_edges, random_graph
 from prunesolve.graph import (
     EdgeListParseError,
@@ -21,7 +21,7 @@ from prunesolve.graph import (
 class TestGraphStructure:
     def test_neighbors_sorted_and_symmetric(self):
         g = graph_from_edges(4, [(2, 0), (3, 1), (0, 1)])
-        g.validate()
+        validate(g)
         assert list(g.neighbors(0)) == [1, 2]
         assert list(g.neighbors(1)) == [0, 3]
         for u in range(4):
@@ -62,7 +62,7 @@ class TestGraphStructure:
             offsets, targets = brute_csr(n, edges)
             assert np.array_equal(rebuilt.offsets, offsets)
             assert np.array_equal(rebuilt.targets, targets)
-            rebuilt.validate()
+            validate(rebuilt)
 
     @pytest.mark.parametrize("g", [
         generate_ba(300, 3, 4),
@@ -103,7 +103,7 @@ class TestGraphStructure:
                 assert counts[v] == sum(mask[u] for u in g.neighbors(v))
 
     def test_empty_graph(self, edgeless6):
-        edgeless6.validate()
+        validate(edgeless6)
         assert edgeless6.m == 0
         assert edgeless6.edge_array().shape == (0, 2)
         assert list(edgeless6.count_in_mask(np.ones(6, bool))) == [0] * 6
@@ -122,7 +122,7 @@ class TestNodeSet:
 
     def test_full_empty_eq(self):
         assert NodeSet.full(4).size == 4
-        assert NodeSet.empty(4).size == 0
+        assert NodeSet(np.zeros(4, dtype=bool)).size == 0
         assert NodeSet.from_ids([0, 1], 3) == NodeSet.from_ids([1, 0], 3)
         assert NodeSet.from_ids([0], 3) != NodeSet.from_ids([1], 3)
 
@@ -138,7 +138,7 @@ class TestGenerateBa:
         for n, m, seed in [(1000, 4, 7), (50, 3, 0), (10, 1, 2)]:
             g = generate_ba(n, m, seed)
             assert g.m == m * (m - 1) // 2 + m * (n - m)
-            g.validate()
+            validate(g)
 
     def test_deterministic(self):
         a = generate_ba(1000, 4, seed=7)

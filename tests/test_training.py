@@ -312,13 +312,13 @@ class TestPrediction:
         truth = manual_labels("mvc", [1, 0, 1, 0], [0, 1])
         n = truth.n
         assert recall(NodeSet.from_ids([0, 2], n), truth) == 1.0
-        assert recall(NodeSet.empty(n), truth) == 0.0
+        assert recall(NodeSet(np.zeros(n, dtype=bool)), truth) == 0.0
         assert recall(NodeSet.full(n), truth) == 1.0
         assert recall(NodeSet.from_ids([0], n), truth) == 0.5
 
     def test_recall_without_positives_is_one(self):
         truth = manual_labels("mvc", [0, 0], [0])
-        assert recall(NodeSet.empty(2), truth) == 1.0
+        assert recall(NodeSet(np.zeros(2, dtype=bool)), truth) == 1.0
 
 
 class TestEpochLog:
