@@ -35,14 +35,16 @@ print(format_solution(star, greedy_mvc(star)))
 print("greedy MIS on a triangle:")
 print(format_solution(triangle, greedy_mis(triangle)))
 
-# Local search visits nodes by ascending degree and needs no seed: covers
-# start from every node and drop those whose neighbors are all inside;
-# independent sets start greedily, then use (1,2)-swaps, trading one node
-# for two. Here the start takes the middle of the path 2-1-3 (and the leaf
-# 4), and a swap trades it for both ends.
+# Local search visits nodes by ascending degree and needs no seed. One
+# search serves both problems: an independent set starts greedily, then
+# uses (1,2)-swaps, trading one node for two. A cover is every node but
+# such a set, so for covers the same swap trades two nodes for one. Here
+# the start takes the middle of the path 2-1-3 (and the leaf 4), and a swap
+# trades it for both ends.
 swappy = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
 ls = local_search_mis(swappy)
 print("local-search MIS:", [int(v) for v in ls.nodes.ids()])
+print("local-search MVC:", [int(v) for v in local_search_mvc(swappy).nodes.ids()])
 
 # The exact solver is branch and bound for vertex cover with degree
 # reductions and a matching bound; an independent set is the complement of a
@@ -74,11 +76,11 @@ print("restricted solution valid:", report.ok,
 
 from dataclasses import replace
 
-bad = replace(exact_solve(triangle, "mis"), nodes=NodeSet.full(3))
+bad = replace(exact_solve(triangle, "mis"), nodes=NodeSet(np.ones(3, dtype=bool)))
 print("corrupted MIS report:", validate_solution(triangle, bad).failures[0])
 
-# Local search never does worse than its start, and the exact solver is the
-# floor (MVC) or ceiling (MIS) for both heuristics.
+# Local search never does worse than its degree-ordered start, and the
+# exact solver is the floor (MVC) or ceiling (MIS) for both heuristics.
 sizes = {
     "greedy": greedy_mvc(ba).size,
     "local-search": local_search_mvc(ba).size,

@@ -88,7 +88,6 @@ class Graph:
         self.targets = targets
         self._edges = None
         self._lists = None
-        self._csr = None
         self._mean_csr = None
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -132,15 +131,6 @@ class Graph:
             o = self.offsets.tolist()
             self._lists = tuple([tuple(t[o[v]:o[v + 1]]) for v in range(self.n)])
         return self._lists
-
-    def adjacency_csr(self) -> sp.csr_matrix:
-        """Unweighted adjacency as a scipy CSR matrix (cached)."""
-        if self._csr is None:
-            data = np.ones(len(self.targets), dtype=np.float64)
-            self._csr = sp.csr_matrix(
-                (data, self.targets, self.offsets), shape=(self.n, self.n)
-            )
-        return self._csr
 
     def mean_adjacency_csr(self) -> sp.csr_matrix:
         """Row-normalized adjacency D^-1 A as a scipy CSR matrix (cached).
@@ -190,10 +180,6 @@ class NodeSet:
         mask = np.zeros(n, dtype=bool)
         mask[ids] = True
         return cls(mask)
-
-    @classmethod
-    def full(cls, n: int) -> "NodeSet":
-        return cls(np.ones(n, dtype=bool))
 
     @property
     def universe(self) -> int:

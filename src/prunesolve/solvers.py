@@ -6,7 +6,8 @@ the full search space (all nodes) or a restricted space where only a given
 legitimately leave some edges uncovered; the coverage metric quantifies that.
 
 All solvers are deterministic given (graph, candidates), and ties are
-always broken toward the lowest node id.
+always broken toward the lowest node id. One (1,2)-swap local search serves
+both problems: a vertex cover is the candidates minus an independent set.
 """
 
 from __future__ import annotations
@@ -250,71 +251,37 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
 # Local search
 
 
-def _degree_order_set(g: Graph, pool: np.ndarray) -> np.ndarray:
-    """The start of both local searches: each ``pool`` node, by ascending
-    degree with ties to the lower id, is kept unless a kept neighbor has
-    removed it, so the kept nodes form an independent set."""
-    pool = pool.copy()
-    order = np.argsort(g.degrees(), kind="stable")
-    for v in order[pool[order]]:
-        if pool[v]:  # kept
-            pool[g.neighbors(v)] = False
-    return pool
+def _swap_search(g: Graph, good: np.ndarray) -> np.ndarray:
+    """The one local search behind both problems: an independent set of
+    ``good`` nodes, as a mask.
 
-
-def local_search_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
-    """Local search for vertex cover: start from every candidate (every node
-    in full space) and drop, by ascending degree, each node whose neighbors
-    are all still in.
-
-    The dropped nodes are the degree-ordered independent set of the
-    candidates whose neighbors are all candidates; in full space it is
-    maximal, so the result is a cover. A restricted start that is not a
-    cover stays that way.
-    """
-    cand = cand or Candidates.all()
-    t0 = time.perf_counter()
-    eligible = cand.mask_for(g)
-    dropped = _degree_order_set(g, eligible & (g.count_in_mask(~eligible) == 0))
-    in_s = eligible & ~dropped
-    return Solution(
-        problem=MVC,
-        nodes=NodeSet(in_s),
-        algorithm="local-search",
-        runtime=time.perf_counter() - t0,
-        restricted=not cand.is_all,
-    )
-
-
-def local_search_mis(g: Graph, cand: Candidates | None = None) -> Solution:
-    """Local search for independent set: a greedy start that takes each
-    candidate by ascending degree if no neighbor is taken yet, then
-    (1,2)-swaps until none applies.
-
-    A swap replaces a solution node v by two of its non-adjacent one-tight
-    neighbors (nodes whose single solution neighbor is v): the first such
-    pair in adjacency order. First improvement over a min-heap worklist of
-    "dirty" solution nodes; every solution node off the worklist has no swap.
-    The smallest dirty node is popped and either swaps or becomes clean, so
-    each swap is made at the smallest solution node that has one, and the
-    result equals that of an ascending scan restarted after every swap.
-    Only N(v) loses tightness in a swap, so only N(v) can hold freed nodes;
-    they are re-added (ascending), which keeps full-space outputs maximal.
-    A solution node's swaps depend only on which of its neighbors are
-    one-tight candidates, so a swap dirties the nodes it adds and the
-    solution neighbors of every node whose one-tight status changed. In
-    restricted mode only candidate nodes may enter, whether by swap or by
+    The start takes each good node by ascending degree, ties to the lower
+    id, unless a neighbor is taken already; then (1,2)-swaps run until none
+    applies. A swap replaces a solution node v by two of its non-adjacent
+    one-tight neighbors (nodes whose single solution neighbor is v): the
+    first such pair in adjacency order. First improvement over a min-heap
+    worklist of "dirty" solution nodes; every solution node off the worklist
+    has no swap. The smallest dirty node is popped and either swaps or
+    becomes clean, so each swap is made at the smallest solution node that
+    has one, and the result equals that of an ascending scan restarted after
+    every swap. Only N(v) loses tightness in a swap, so only N(v) can hold
+    freed nodes; they are re-added (ascending), so the result is maximal
+    among the good nodes. A solution node's swaps depend only on which of
+    its neighbors are one-tight good nodes, so a swap dirties the nodes it
+    adds and the solution neighbors of every node whose one-tight status
+    changed. Only good nodes enter, whether at the start, by swap or by
     re-add.
     """
-    cand = cand or Candidates.all()
-    t0 = time.perf_counter()
-    good = cand.mask_for(g)
-    in_s = _degree_order_set(g, good)
+    in_s = good.copy()
+    order = np.argsort(g.degrees(), kind="stable")
+    for v in order[in_s[order]]:
+        if in_s[v]:  # taken
+            in_s[g.neighbors(v)] = False
 
-    # tightness and swap-candidate counts are only ever read at candidate
-    # nodes, and only kept up to date there
+    # tightness and swap-candidate counts are only ever read at good nodes,
+    # and only kept up to date there
     tight = g.count_in_mask(in_s)
-    # one-tight candidate nodes that could swap in
+    # one-tight good nodes that could swap in
     swap_in = good & ~in_s & (tight == 1)
     # a swap needs two such neighbors, so every other solution node starts
     # clean; an ascending list is already a heap
@@ -367,9 +334,43 @@ def local_search_mis(g: Graph, cand: Candidates | None = None) -> Solution:
         dirty[marked] = True
         for u in marked.tolist():
             heapq.heappush(heap, u)
+    return in_s
+
+
+def local_search_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Local search for vertex cover: the candidates minus the
+    :func:`_swap_search` independent set of the candidates whose neighbors
+    are all candidates.
+
+    A set covers every edge exactly when its complement is independent, so
+    the removed set leaves every edge between two candidates covered, and a
+    candidate with a neighbor outside the candidates is never removed. In
+    full space every node is eligible and the removed set is maximal, so the
+    result is a cover with no removable node; a (1,2)-swap of the set is a
+    (2,1)-move of the cover. A restricted start that is not a cover stays
+    that way.
+    """
+    cand = cand or Candidates.all()
+    t0 = time.perf_counter()
+    eligible = cand.mask_for(g)
+    removed = _swap_search(g, eligible & (g.count_in_mask(~eligible) == 0))
+    return Solution(
+        problem=MVC,
+        nodes=NodeSet(eligible & ~removed),
+        algorithm="local-search",
+        runtime=time.perf_counter() - t0,
+        restricted=not cand.is_all,
+    )
+
+
+def local_search_mis(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Local search for independent set: the :func:`_swap_search` set of the
+    candidates, maximal in full space."""
+    cand = cand or Candidates.all()
+    t0 = time.perf_counter()
     return Solution(
         problem=MIS,
-        nodes=NodeSet(in_s),
+        nodes=NodeSet(_swap_search(g, cand.mask_for(g))),
         algorithm="local-search",
         runtime=time.perf_counter() - t0,
         restricted=not cand.is_all,

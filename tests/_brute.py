@@ -7,7 +7,11 @@ builds neighbour lists with a lexsort; they check the vectorized loader and
 ``Graph``. ``restart_scan_local_search_mis`` is the (1,2)-swap local search
 that rescans the whole solution after every swap; it checks the worklist
 version in the package. ``degree_order_start`` is the start both versions
-make, written independently of the package's. ``heap_greedy_mvc`` and
+make, written independently of the package's. ``drop_sweep_local_search_mvc``
+is the vertex-cover local search as it was, a sweep that drops each node
+whose neighbors are all inside; the package's cover, the complement of a
+swapped independent set, must cover the same edges and be no larger.
+``heap_greedy_mvc`` and
 ``heap_greedy_mis`` are the greedy solvers as they were over numpy rows and
 tuple-keyed heaps, one push per residual-degree change; they check the
 package's list-based greedy solvers. ``rescan_bb_mvc`` and
@@ -16,7 +20,8 @@ whole graph for reductions and bounding with an id-ordered greedy matching;
 they check the worklist search and its augmented matching bound.
 ``brute_max_matching`` is a maximum matching's size by recursion, and
 ``forest_mvc_size`` strips leaves to find a forest's minimum cover size.
-``validate`` rechecks a ``Graph``'s structural invariants.
+``validate`` rechecks a ``Graph``'s structural invariants, symmetry by
+comparing the sorted (src, dst) keys with the (dst, src) keys.
 """
 
 import functools
@@ -151,6 +156,30 @@ def degree_order_start(g: Graph, good: np.ndarray) -> np.ndarray:
         if not in_s[g.neighbors(v)].any():
             in_s[v] = True
     return in_s
+
+
+def drop_sweep_local_search_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Local search for vertex cover: start from every candidate and drop,
+    by ascending degree with ties to the lower id, each node whose neighbors
+    are all still in.
+
+    A dropped node's neighbors stay in, so the dropped nodes are independent
+    and every edge between two candidates stays covered; in full space the
+    result is a cover with no removable node.
+    """
+    cand = cand or Candidates.all()
+    t0 = time.perf_counter()
+    in_s = cand.mask_for(g).copy()
+    for v in sorted(np.flatnonzero(in_s).tolist(), key=lambda u: (g.degree(u), u)):
+        if in_s[g.neighbors(v)].all():
+            in_s[v] = False
+    return Solution(
+        problem=MVC,
+        nodes=NodeSet(in_s),
+        algorithm="local-search",
+        runtime=time.perf_counter() - t0,
+        restricted=not cand.is_all,
+    )
 
 
 def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None) -> Solution:
@@ -484,6 +513,8 @@ def validate(g: Graph) -> None:
         boundary = np.diff(rows).astype(bool)
         if np.any((inner <= 0) & ~boundary):
             raise ValueError("neighbor list not strictly increasing")
-    a = g.adjacency_csr()
-    if (a != a.T).nnz != 0:
+    # every (src, dst) entry needs its (dst, src) twin
+    forward = np.sort(rows * g.n + g.targets)
+    backward = np.sort(g.targets * g.n + rows)
+    if not np.array_equal(forward, backward):
         raise ValueError("adjacency not symmetric")

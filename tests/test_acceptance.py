@@ -39,9 +39,8 @@ from prunesolve.solvers import (
     coverage,
     exact_solve,
     greedy_mis,
-    greedy_mvc,
     local_search_mis,
-    local_search_mvc,
+    solve,
     validate_solution,
 )
 from prunesolve.training import (
@@ -265,14 +264,6 @@ def test_a7_randomized_solver_validity(capfd):
     """1000 randomized (graph, problem, solver, candidate-set) trials: every
     returned solution must pass validation."""
     rng = np.random.default_rng(20240814)
-    dispatch = {
-        ("mvc", "greedy"): lambda g, cand: greedy_mvc(g, cand),
-        ("mvc", "local-search"): lambda g, cand: local_search_mvc(g, cand),
-        ("mvc", "exact"): lambda g, cand: exact_solve(g, "mvc", cand, 30.0),
-        ("mis", "greedy"): lambda g, cand: greedy_mis(g, cand),
-        ("mis", "local-search"): lambda g, cand: local_search_mis(g, cand),
-        ("mis", "exact"): lambda g, cand: exact_solve(g, "mis", cand, 30.0),
-    }
     violations = []
     trials = 0
     for trial in range(1000):
@@ -288,7 +279,7 @@ def test_a7_randomized_solver_validity(capfd):
             if not mask.any():
                 mask[int(rng.integers(n))] = True
             cand = Candidates.restrict(NodeSet(mask))
-        sol = dispatch[(problem, solver)](g, cand)
+        sol = solve(g, problem, solver, cand, 30.0)
         rep = validate_solution(g, sol)
         if not rep.ok:
             violations.append(f"trial {trial} ({problem}/{solver}): "

@@ -168,7 +168,7 @@ class TestRunPipeline:
         # Rows come by graph in config order, then solver, then variant; the
         # timeout notes of all graphs follow every model note.
         monkeypatch.setattr(bench, "predict_good_nodes",
-                            lambda params, g, x: NodeSet.full(g.n))
+                            lambda params, g, x: NodeSet(np.ones(g.n, dtype=bool)))
         rep = run_pipeline(tiny_config(
             test_graphs=[GraphSpec("a", n=80, m=2, seed=2),
                          GraphSpec("b", n=70, m=2, seed=3)],

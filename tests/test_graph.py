@@ -82,11 +82,14 @@ class TestGraphStructure:
         assert e.shape == (5, 2)
         assert np.all(e[:, 0] < e[:, 1])
 
-    def test_adjacency_csr_matches_edges(self, cycle5):
-        a = cycle5.adjacency_csr()
-        assert (a != a.T).nnz == 0
-        assert a.nnz == 2 * cycle5.m
-        assert a.sum() == 2 * cycle5.m
+    def test_validate_checks_symmetry(self, cycle5):
+        validate(cycle5)
+        # path 0-1-2 with row 0 pointing at 2: still 2m sorted entries and
+        # no self-loop, but 0 -> 2 and 1 -> 0 have no twins
+        g = graph_from_edges(3, [(0, 1), (1, 2)])
+        g.targets = np.array([2, 0, 2, 1])
+        with pytest.raises(ValueError, match="not symmetric"):
+            validate(g)
 
     def test_mean_adjacency_averages_neighbors(self):
         g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3)])  # node 4 isolated
@@ -121,7 +124,7 @@ class TestNodeSet:
             NodeSet.from_ids([5], 5)
 
     def test_full_empty_eq(self):
-        assert NodeSet.full(4).size == 4
+        assert NodeSet(np.ones(4, dtype=bool)).size == 4
         assert NodeSet(np.zeros(4, dtype=bool)).size == 0
         assert NodeSet.from_ids([0, 1], 3) == NodeSet.from_ids([1, 0], 3)
         assert NodeSet.from_ids([0], 3) != NodeSet.from_ids([1], 3)

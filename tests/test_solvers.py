@@ -1,10 +1,13 @@
 """Greedy and local-search solvers, validators, and the coverage metric."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from _brute import (
     degree_order_start,
+    drop_sweep_local_search_mvc,
     heap_greedy_mis,
     heap_greedy_mvc,
     restart_scan_local_search_mis,
@@ -265,32 +268,78 @@ class TestLocalSearchMvc:
             removable = s.nodes.mask & (inside == degs)
             assert not removable.any()
 
-    def test_full_space_drops_degree_order_independent_set(self):
-        # the sweep over all nodes drops exactly the nodes the degree-ordered
-        # start of the independent-set search takes
-        for seed in range(8):
-            g = random_graph(40, 0.12, seed)
-            s = local_search_mvc(g)
-            assert np.array_equal(s.nodes.mask, ~degree_order_start(g, np.ones(g.n, bool)))
-
     def test_restricted_subset_of_candidates(self):
         g = random_graph(40, 0.12, 4)
         cand = Candidates.from_ids(range(0, 40, 2), 40)
         s = local_search_mvc(g, cand)
         assert not (s.nodes.mask & ~cand.good.mask).any()
 
-    def test_restricted_matches_drop_sweep(self):
-        # from the candidates, drop by ascending degree each node whose
-        # neighbors are all still in
-        for seed in range(8):
-            g = random_graph(40, 0.12, seed)
-            keep = np.random.default_rng(seed).random(g.n) < 0.8
-            in_s = keep.copy()
-            for v in sorted(np.flatnonzero(keep), key=lambda u: (g.degree(u), u)):
-                if in_s[g.neighbors(v)].all():
-                    in_s[v] = False
-            s = local_search_mvc(g, Candidates.restrict(NodeSet(keep)))
-            assert np.array_equal(s.nodes.mask, in_s)
+    def test_same_coverage_as_drop_sweep_never_larger(self):
+        # random graphs with all nodes or a random 70% of them as
+        # candidates, then the restart-scan reference spaces: the removed
+        # set is independent and holds no candidate with a non-candidate
+        # neighbor, so exactly the sweep's edges stay covered
+        rng = np.random.default_rng(13)
+        spaces = []
+        for _ in range(120):
+            n = int(rng.integers(4, 41))
+            g = random_graph(n, float(rng.choice([0.0, 0.1, 0.25, 0.4])),
+                             int(rng.integers(1 << 20)))
+            spaces.append((g, Candidates.all()))
+            spaces.append((g, Candidates.restrict(NodeSet(rng.random(n) < 0.7))))
+        spaces += [s for kind in REFERENCE_KINDS for n in REFERENCE_SIZES
+                   for s in reference_spaces(kind, n)]
+        smaller = 0
+        for g, cand in spaces:
+            got = local_search_mvc(g, cand)
+            want = drop_sweep_local_search_mvc(g, cand)
+            e = g.edge_array()
+            covered = got.nodes.mask[e[:, 0]] | got.nodes.mask[e[:, 1]]
+            swept = want.nodes.mask[e[:, 0]] | want.nodes.mask[e[:, 1]]
+            assert np.array_equal(covered, swept)
+            assert got.size <= want.size
+            assert not (got.nodes.mask & ~cand.mask_for(g)).any()
+            assert got.restricted == want.restricted
+            if cand.is_all:  # no cover node has all its neighbors inside
+                inside = g.count_in_mask(got.nodes.mask)
+                assert not (got.nodes.mask & (inside == g.degrees())).any()
+            smaller += got.size < want.size
+        # the check means little unless the swaps often shrink the cover
+        assert smaller >= len(spaces) // 10, (smaller, len(spaces))
+
+    def test_full_space_complement_has_no_swap(self):
+        # brute force: the complement is independent and maximal, and no
+        # node of it can be traded for two outside nodes
+        for seed in range(60):
+            n = 4 + seed % 9
+            g = random_graph(n, (0.2, 0.35, 0.5)[seed % 3], seed)
+            rest = ~local_search_mvc(g).nodes.mask
+            e = g.edge_array()
+
+            def independent(mask):
+                return not (mask[e[:, 0]] & mask[e[:, 1]]).any()
+
+            assert independent(rest)
+            out = np.flatnonzero(~rest).tolist()
+            for u in out:
+                grown = rest.copy()
+                grown[u] = True
+                assert not independent(grown), (seed, u)
+            for v in np.flatnonzero(rest).tolist():
+                for a, b in itertools.combinations(out, 2):
+                    traded = rest.copy()
+                    traded[[a, b]] = True
+                    traded[v] = False
+                    assert not independent(traded), (seed, v, a, b)
+
+    def test_swap_beats_drop_sweep(self):
+        # the sweep drops the degree-ordered start {1, 4}; the swap trades
+        # node 1 for both ends of the path 2-1-3, so the cover loses a node
+        g = graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+        assert drop_sweep_local_search_mvc(g).nodes.ids().tolist() == [0, 2, 3]
+        s = local_search_mvc(g)
+        assert s.nodes.ids().tolist() == [0, 1]
+        assert validate_solution(g, s).ok
 
 
 REFERENCE_KINDS = ("ba", "gnm")

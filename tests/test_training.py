@@ -313,7 +313,7 @@ class TestPrediction:
         n = truth.n
         assert recall(NodeSet.from_ids([0, 2], n), truth) == 1.0
         assert recall(NodeSet(np.zeros(n, dtype=bool)), truth) == 0.0
-        assert recall(NodeSet.full(n), truth) == 1.0
+        assert recall(NodeSet(np.ones(n, dtype=bool)), truth) == 1.0
         assert recall(NodeSet.from_ids([0], n), truth) == 0.5
 
     def test_recall_without_positives_is_one(self):
