@@ -176,11 +176,14 @@ def _dims_text(dims) -> str:
 
 
 def _read(load, path, what: str):
-    """``load(path)``, a missing or malformed file made a usage error."""
+    """``load(path)``, a missing, unreadable or malformed file (a directory,
+    say, or text that does not decode) made a usage error."""
     try:
         return load(path)
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}") from None
+    except OSError as e:
+        raise UsageError(f"{what} file {path}: {e.strerror or e}") from None
     except ValueError as e:
         msg = str(e)
         raise UsageError(msg if str(path) in msg else f"{what} file {path}: {msg}") from None
@@ -200,9 +203,7 @@ def _read_candidates(path, n: int) -> Candidates:
     if path == "all":
         return Candidates.all()
     try:
-        ids = _read_int_rows(path, 1)
-    except FileNotFoundError:
-        raise UsageError(f"candidate file not found: {path}") from None
+        ids = _read(lambda p: _read_int_rows(p, 1), path, "candidate")
     except _BadRow as e:
         lineno, line, _ = e.args
         raise UsageError(

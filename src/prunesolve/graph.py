@@ -65,30 +65,36 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loop in edge array")
-        m = len(edges)
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        # Sorting by (src, dst) as one key lists both directions of every
-        # edge, so a repeated edge, either way round, shows as equal
-        # neighbours. Keys of a valid edge array are distinct, so the order
-        # does not depend on the sort's stability.
-        key = src * n + dst
-        order = np.argsort(key)
-        key = key[order]
-        if np.any(key[1:] == key[:-1]):
+        u, v = edges.T
+        if self._build(n, np.concatenate([u * n + v, v * n + u])):
             raise ValueError("duplicate edge in edge array")
-        targets = dst[order]
+
+    def _build(self, n: int, key: np.ndarray) -> int:
+        """Set the graph up from the keys ``src * n + dst`` of both
+        directions of every edge; returns how many repeated keys it dropped.
+
+        Sorting the keys in place lists each node's neighbours in order, and
+        a repeated edge, either way round, shows as equal adjacent keys.
+        """
+        key.sort()
+        repeat = key[1:] == key[:-1]
+        dropped = int(np.count_nonzero(repeat))
+        if dropped:
+            key = key[np.concatenate(([True], ~repeat))]
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        if n:
+            np.cumsum(np.bincount(key // n, minlength=n), out=offsets[1:])
+            key %= n
         offsets.setflags(write=False)
-        targets.setflags(write=False)
+        key.setflags(write=False)
         self.n = n
-        self.m = m
+        self.m = len(key) // 2
         self.offsets = offsets
-        self.targets = targets
+        self.targets = key
         self._edges = None
         self._lists = None
         self._mean_csr = None
+        return dropped
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of ``v`` (a read-only view)."""
@@ -262,8 +268,8 @@ class _BadRow(Exception):
     wrong (else a token is not an integer)."""
 
 
-_NEWLINE, _HASH, _PLUS, _MINUS, _UNDERSCORE, _ZERO = b"\n#+-_0"
-# A token of at most this many characters fits in an int64 digit by digit.
+_NEWLINE, _SPACE, _HASH, _PLUS, _MINUS, _UNDERSCORE, _ZERO = b"\n #+-_0"
+# A token of at most this many characters fits in an int64.
 _SHORT_TOKEN = 18
 
 
@@ -283,6 +289,12 @@ def _ascii_image(text: str) -> bytes:
     return text.translate(table).encode("ascii")
 
 
+def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Every position of the spans ``[lo, hi)``, span by span."""
+    size = hi - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
 def _read_int_rows(path, width: int) -> np.ndarray:
     """Parse a text file of integers, ``width`` of them on each data line.
 
@@ -293,70 +305,105 @@ def _read_int_rows(path, width: int) -> np.ndarray:
     object array of Python ints when a value does not fit in int64. Raises
     :class:`_BadRow` for the first data line with a wrong token count or a
     non-integer token.
+
+    Only the bytes of a token that are not ASCII digits get the check of
+    ``int()``'s grammar (a sign at the start, an underscore between two
+    digits), so a file of plain digits skips it. ``np.fromstring`` then
+    reads the values, with the comment lines blanked: it reads a sign and
+    ASCII digits, which is what every integer token is in
+    :func:`_ascii_image`, except a token with an underscore or more than
+    ``_SHORT_TOKEN`` characters. Those are blanked to ``0`` and read by
+    ``int()``.
     """
     with open(path) as fh:  # universal newlines: CRLF and CR arrive as LF
         text = fh.read()
-    b = np.frombuffer(_ascii_image(text), dtype=np.uint8)
+    b = np.frombuffer(bytearray(_ascii_image(text)), dtype=np.uint8)
     # The ASCII whitespace of str.split(): \t \n \v \f \r, \x1c-\x1f, space.
-    word = ~((b == 32) | ((b - np.uint8(9)) < 5) | ((b - np.uint8(28)) < 4))
-    padded = np.concatenate(([False], word, [False]))
-    start = word & ~padded[:-2]
-    ends = np.flatnonzero(word & ~padded[2:]) + 1
-    # Token starts and line ends in file order: a token heads its line when
-    # the event before it is a line end.
-    event = np.flatnonzero(start | (b == _NEWLINE))
-    newline = b[event] == _NEWLINE
-    token = ~newline
-    starts = event[token]
-    line = np.cumsum(newline)[token]
-    head = np.concatenate(([True], newline))[:-1][token]
+    # np.fromstring skips all of it but \x1c-\x1f.
+    odd_space = (b - np.uint8(28)) < 4
+    word = ~((b == _SPACE) | ((b - np.uint8(9)) < 5) | odd_space)
+    # The changes of the word mask alternate between token starts and ends.
+    bounds = np.flatnonzero(np.diff(word, prepend=False, append=False))
+    starts, ends = bounds[::2], bounds[1::2]
+    newlines = np.flatnonzero(b == _NEWLINE)
+    # A token heads its line when a newline lies between it and the token
+    # before it; a one-byte gap is that byte, and only longer gaps are
+    # looked up among the newlines.
+    head = np.ones(len(starts), dtype=bool)
+    gap_end = starts[1:]
+    head[1:] = b[gap_end - 1] == _NEWLINE
+    wide = np.flatnonzero(gap_end - ends[:-1] > 1)
+    if wide.size:
+        found = np.searchsorted(newlines, [ends[wide], gap_end[wide]])
+        head[wide + 1] = found[0] < found[1]
     comment = b[starts[head]] == _HASH
     if comment.any():
-        keep = ~comment[np.cumsum(head) - 1]
-        starts, ends, line, head = starts[keep], ends[keep], line[keep], head[keep]
+        drop = comment[np.cumsum(head) - 1]
+        b[_spans(starts[drop], ends[drop])] = _SPACE
+        keep = ~drop
+        starts, ends, head = starts[keep], ends[keep], head[keep]
 
     heads = np.flatnonzero(head)
-    counts = np.diff(heads, append=len(starts))
-    bad_count = line[heads[counts != width]]
+    bad_count = heads[np.diff(heads, append=len(starts)) != width]
     # A token is an integer iff each character is a digit, an underscore
-    # between two digits, or a sign at its start followed by a digit.
-    digit = (b - np.uint8(_ZERO)) < 10
-    around = np.concatenate(([False], digit, [False]))
-    before, after = around[:-2], around[2:]
-    valid = digit | ((b == _UNDERSCORE) & before & after)
-    valid |= ((b == _PLUS) | (b == _MINUS)) & after & start
-    wrong = np.flatnonzero(word & ~valid)
-    owner = np.searchsorted(starts, wrong, side="right") - 1
+    # between two digits, or a sign at its start followed by a digit. A
+    # token's neighbour bytes are whitespace, so a digit next to a character
+    # is in its token.
+    odd = np.flatnonzero(word & ((b - np.uint8(_ZERO)) >= 10))
+    owner = np.searchsorted(starts, odd, side="right") - 1
     inside = owner >= 0
-    inside[inside] = wrong[inside] < ends[owner[inside]]
-    bad_token = line[owner[inside]]
+    inside[inside] = odd[inside] < ends[owner[inside]]
+    odd, owner = odd[inside], owner[inside]
+    last = len(b) - 1
+    before = (odd > 0) & ((b[odd - 1] - np.uint8(_ZERO)) < 10)
+    after = (odd < last) & ((b[np.minimum(odd + 1, last)] - np.uint8(_ZERO)) < 10)
+    underscore = b[odd] == _UNDERSCORE
+    sign = ((b[odd] == _PLUS) | (b[odd] == _MINUS)) & (odd == starts[owner])
+    bad_token = owner[~(after & (sign | underscore & before))]
     if bad_count.size or bad_token.size:
-        first = int(min(bad_count.min(initial=len(b)), bad_token.min(initial=len(b))))
-        newlines = event[newline]
+        # line numbers, counted from 0, only grow with the token index
+        first_token = min(bad_count.min(initial=len(starts)), bad_token.min(initial=len(starts)))
+        first = int(np.searchsorted(newlines, starts[first_token]))
+        wrong_count = np.searchsorted(newlines, starts[bad_count]) == first
         lo = newlines[first - 1] + 1 if first else 0
         hi = newlines[first] if first < len(newlines) else len(text)
-        raise _BadRow(first + 1, text[lo:hi].strip(), bool(np.any(bad_count == first)))
+        raise _BadRow(first + 1, text[lo:hi].strip(), bool(wrong_count.any()))
 
-    # Horner's rule, one character column at a time over all tokens.
-    lengths = ends - starts
-    b = np.append(b, np.zeros(_SHORT_TOKEN, dtype=np.uint8))
-    values = np.zeros(len(starts), dtype=np.int64)
-    for j in range(min(int(lengths.max(initial=0)), _SHORT_TOKEN)):
-        d = b[starts + j] - np.uint8(_ZERO)
-        values = np.where((d < 10) & (j < lengths), values * 10 + d, values)
-    values[b[starts] == _MINUS] *= -1
-    long = np.flatnonzero(lengths > _SHORT_TOKEN)
-    if long.size:
-        exact = [int(text[s:e]) for s, e in zip(starts[long], ends[long])]
-        if not all(-(2**63) <= v < 2**63 for v in exact):
+    if not len(starts):  # np.fromstring reads a blank text as one 0
+        return np.zeros((0, width), dtype=np.int64)
+    if odd_space.any():
+        b[odd_space] = _SPACE
+    exact = np.flatnonzero(ends - starts > _SHORT_TOKEN)
+    if underscore.any():
+        exact = np.union1d(exact, owner[underscore])
+    if exact.size:
+        b[_spans(starts[exact] + 1, ends[exact])] = _SPACE
+        b[starts[exact]] = _ZERO
+    values = np.fromstring(b.tobytes(), dtype=np.int64, sep=" ")
+    if exact.size:
+        big = [int(text[s:e]) for s, e in zip(starts[exact].tolist(), ends[exact].tolist())]
+        if not all(-(2**63) <= v < 2**63 for v in big):
             values = values.astype(object)
-        values[long] = exact
+        values[exact] = big
     return values.reshape(-1, width)
 
 
 def _number_by_first_appearance(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Replace each value by the rank of its first appearance in ``values``;
-    also return the number of distinct values."""
+    also return the number of distinct values.
+
+    Non-negative int64 values below twice their count, which the ids of a
+    file numbered from 0 with few gaps are, go through a table indexed by
+    value: each value's first index, then the rank of each first index.
+    Sparse, negative or beyond-int64 values are sorted instead.
+    """
+    count = len(values)
+    if values.dtype == np.int64 and count and 0 <= values.min() and values.max() < 2 * count:
+        table = np.full(int(values.max()) + 1, count, dtype=np.int64)
+        np.minimum.at(table, values, np.arange(count))
+        seen = np.flatnonzero(table < count)
+        table[seen[np.argsort(table[seen])]] = np.arange(len(seen))
+        return table[values], len(seen)
     order = np.argsort(values)
     ordered = values[order]
     new = np.ones(len(values), dtype=bool)
@@ -392,6 +439,12 @@ def load_edge_list(path) -> EdgeListResult:
     dropped, with counts reported in the result. A malformed line raises
     :class:`EdgeListParseError` naming the first one (``line N``, counted
     from 1); a file without any edge line raises :class:`EmptyGraphError`.
+
+    The work is a few whole-file numpy passes: :func:`_read_int_rows` checks
+    the tokens and reads the values, :func:`_number_by_first_appearance`
+    numbers the ids (by a table when they are dense, as in every file
+    ``dump_edge_list`` writes), and one sort of both directions' edge keys
+    yields the neighbour lists, a repeated edge showing as equal keys.
     """
     try:
         rows = _read_int_rows(path, 2)
@@ -402,13 +455,14 @@ def load_edge_list(path) -> EdgeListResult:
     if not len(rows):
         raise EmptyGraphError(f"{path}: no edges found")
     ids, n = _number_by_first_appearance(rows.ravel())
-    ids = ids.reshape(-1, 2)
-    loop = ids[:, 0] == ids[:, 1]
-    u, v = ids[~loop].T
-    key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    key = key[np.diff(key, prepend=-1) > 0]
-    graph = Graph(n, np.column_stack([key // n, key % n]))
-    return EdgeListResult(graph, int(loop.sum()), len(u) - len(key))
+    u, v = ids.reshape(-1, 2).T
+    loop = u == v
+    u, v = u[~loop], v[~loop]
+    # Graph() would refuse the repeated edges that _build drops and counts
+    graph = Graph.__new__(Graph)
+    repeats = graph._build(n, np.concatenate([u * n + v, v * n + u]))
+    # a repeated edge repeats the keys of both its directions
+    return EdgeListResult(graph, int(loop.sum()), repeats // 2)
 
 
 def _int_rows_text(rows: np.ndarray) -> str:

@@ -151,6 +151,18 @@ def format_solution(g: Graph, s: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """Subgraph induced by ``mask`` and the ids of its nodes in ``g``.
+
+    Nodes keep their ascending order, so lowest-id ties break alike in both.
+    """
+    ids = np.flatnonzero(mask)
+    new = np.full(g.n, -1, dtype=np.int64)
+    new[ids] = np.arange(len(ids))
+    e = g.edge_array()
+    return Graph(len(ids), new[e[mask[e[:, 0]] & mask[e[:, 1]]]]), ids
+
+
 # ---------------------------------------------------------------------------
 # Greedy
 
@@ -207,23 +219,26 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     from the pool.
 
     Residual degree counts neighbors still in the pool. The pool starts as
-    the candidate set, so the result is independent with respect to the full
-    edge set and, in full-space mode, maximal. The min-heap holds plain
-    ints, ``r * n + v`` for residual degree r, which order as (r, v), and
-    every drop from the pool pushes a new key for each pool neighbor.
-    Residual degrees only fall, so a node's newest entry pops before its
-    older ones, and the node leaves the pool at that pop or has already
-    left it: an entry is skipped exactly when its node is out of the pool.
+    the candidate set, so a restricted run only ever sees candidates and is
+    the full-space run on the subgraph they induce, mapped back to ``g``'s
+    ids (:func:`_induced` keeps their order, so ties break alike). The
+    result is independent with respect to the full edge set and, in
+    full-space mode, maximal. The min-heap holds plain ints, ``r * n + v``
+    for residual degree r, which order as (r, v), and every drop from the
+    pool pushes a new key for each pool neighbor. Residual degrees only
+    fall, so a node's newest entry pops before its older ones, and the node
+    leaves the pool at that pop or has already left it: an entry is skipped
+    exactly when its node is out of the pool.
     """
     cand = cand or Candidates.all()
     t0 = time.perf_counter()
-    n = g.n
-    adj = g.neighbor_lists()
-    mask = cand.mask_for(g)
-    pool = bytearray(mask.tobytes())
+    sub, ids = (g, None) if cand.is_all else _induced(g, cand.mask_for(g))
+    n = sub.n
+    adj = sub.neighbor_lists()
+    pool = bytearray(b"\x01") * n
     in_set = bytearray(n)
-    resid = g.count_in_mask(mask).tolist()
-    heap = [resid[v] * n + v for v in np.flatnonzero(mask).tolist()]
+    resid = sub.degrees().tolist()
+    heap = [r * n + v for v, r in enumerate(resid)]
     heapq.heapify(heap)
     while heap:
         v = heapq.heappop(heap) % n
@@ -238,9 +253,14 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
                 if pool[u]:
                     resid[u] -= 1
                     heapq.heappush(heap, resid[u] * n + u)
+    taken = np.frombuffer(in_set, dtype=bool)
+    if ids is not None:
+        mask = np.zeros(g.n, dtype=bool)
+        mask[ids[taken]] = True
+        taken = mask
     return Solution(
         problem=MIS,
-        nodes=NodeSet(np.frombuffer(in_set, dtype=bool)),
+        nodes=NodeSet(taken),
         algorithm="greedy",
         runtime=time.perf_counter() - t0,
         restricted=not cand.is_all,
@@ -388,18 +408,6 @@ class _Deadline(Exception):
 def _check_time(deadline: float) -> None:
     if time.perf_counter() > deadline:
         raise _Deadline
-
-
-def _induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
-    """Subgraph induced by ``mask`` and the ids of its nodes in ``g``.
-
-    Nodes keep their ascending order, so lowest-id ties break alike in both.
-    """
-    ids = np.flatnonzero(mask)
-    new = np.full(g.n, -1, dtype=np.int64)
-    new[ids] = np.arange(len(ids))
-    e = g.edge_array()
-    return Graph(len(ids), new[e[mask[e[:, 0]] & mask[e[:, 1]]]]), ids
 
 
 def _matching_lb(adj: dict[int, set[int]]) -> int:

@@ -303,6 +303,7 @@ class TestPruneAndSolve:
         (b"-1\n", "node id -1 is not in the 60-node graph"),
         (b"1\n99999999999999999999999\n",
          "node id 99999999999999999999999 is not in the 60-node graph"),
+        (b"1\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 2"),
     ])
     def test_bad_candidate_file_names_line(self, workdir, capsys, body, message):
         g = make_graph(workdir)
@@ -317,7 +318,11 @@ class TestPruneAndSolve:
          "bad.txt", b"0 1\nx y\n"),
         (["train-teacher", "--graph", "g.txt", "--labels"], "bad.txt", b"0 1\n"),
         (["prune", "--graph", "g.txt", "--params"], "bad.npz", b"not an archive\n"),
-    ], ids=["edge-list", "labels", "params"])
+        (["solve", "--problem", "mvc", "--solver", "greedy", "--graph"],
+         "bad.txt", b"0 1\n\xff\xfe 2\n"),
+        (["solve", "--problem", "mvc", "--solver", "greedy", "--graph", "g.txt",
+          "--candidates"], "bad.txt", b"1\n\xff\n"),
+    ], ids=["edge-list", "labels", "params", "edge-list-not-utf8", "candidates-not-utf8"])
     def test_malformed_input_file_exits_1(self, workdir, capsys, argv, name, body):
         make_graph(workdir)
         bad = workdir / name
@@ -326,6 +331,22 @@ class TestPruneAndSolve:
         assert run(*argv, str(bad)) == 1
         out, err = capsys.readouterr()
         assert out == "" and str(bad) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "mvc", "--solver", "greedy", "--graph"],
+        ["solve", "--problem", "mvc", "--solver", "greedy", "--graph", "g.txt",
+         "--candidates"],
+        ["train-teacher", "--graph", "g.txt", "--labels"],
+        ["prune", "--graph", "g.txt", "--params"],
+    ], ids=["graph", "candidates", "labels", "params"])
+    def test_directory_input_exits_1(self, workdir, capsys, argv):
+        make_graph(workdir)
+        folder = workdir / "folder"
+        folder.mkdir()
+        capsys.readouterr()
+        assert run(*argv, str(folder)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"file {folder}: Is a directory" in err
 
     def test_candidate_file_layouts(self, workdir, capsys):
         g = make_graph(workdir)

@@ -237,13 +237,17 @@ class TestEdgeListIo:
         assert sorted(back.degrees()) == sorted(g.degrees())
 
 
-def _dirty_edge_lines(rng) -> list[str]:
+def _dirty_edge_lines(rng, dense=False) -> list[str]:
     """Lines of a random edge list in the layouts the loader accepts: sparse
     and negative ids, self-loops, repeated and reversed edges, blank and
-    comment lines, tabs and stray spaces."""
-    pool = rng.integers(0, 10**9, size=int(rng.integers(2, 30)))
-    pool[::3] %= 100
-    pool[1::3] = -1 - pool[1::3] % 50
+    comment lines, tabs and stray spaces. With ``dense`` the ids are
+    ``0..k-1`` for a small k instead, which the loader numbers by table."""
+    if dense:
+        pool = np.arange(int(rng.integers(2, 30)))
+    else:
+        pool = rng.integers(0, 10**9, size=int(rng.integers(2, 30)))
+        pool[::3] %= 100
+        pool[1::3] = -1 - pool[1::3] % 50
     seen = []
     lines = []
     for _ in range(int(rng.integers(1, 60))):
@@ -290,6 +294,22 @@ def _error(load, path):
     return None
 
 
+def _assert_same_as_line_parser(path):
+    """``load_edge_list(path)`` raises what the line parser raises, or
+    returns its graph and drop counts."""
+    expected_error = _error(brute_edge_list, path)
+    if expected_error:
+        assert _error(load_edge_list, path) == expected_error
+        return
+    n, edges, loops, dups = brute_edge_list(path)
+    offsets, targets = brute_csr(n, edges)
+    got = load_edge_list(path)
+    assert got.graph.n == n
+    assert np.array_equal(got.graph.offsets, offsets)
+    assert np.array_equal(got.graph.targets, targets)
+    assert (got.dropped_self_loops, got.dropped_duplicates) == (loops, dups)
+
+
 class TestEdgeListDifferential:
     """The vectorized loader against the line-by-line reference parser."""
 
@@ -332,6 +352,39 @@ class TestEdgeListDifferential:
         expected = _error(brute_edge_list, path)
         assert expected is not None
         assert _error(load_edge_list, path) == expected
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_dense_ids_match_line_parser(self, tmp_path, seed):
+        # ids 0..k-1 (the layout every file dump_edge_list writes) take the
+        # loader's table numbering, not its sort
+        rng = np.random.default_rng(1000 + seed)
+        path = tmp_path / f"dense{seed}.txt"
+        _write_lines(path, _dirty_edge_lines(rng, dense=True), rng)
+        _assert_same_as_line_parser(path)
+
+    @pytest.mark.parametrize("body", [
+        "0\x1c1\n1\x1d2\x1e\n\x1f2 0\n",
+        "0\u20031\n1\u2003\u20032\n",
+        "0 1\x85\n\x851 2\n",
+        "0 1\x852 3\n",
+        "0 1\u2028\n1 2\n",
+        "0 1\u20282 3\n",
+        "\ufeff0 1\n1 2\n",
+        "\ufeff# header\n0 1\n",
+        "\u0660 \u0661\n\u0661 \u0662\n2 0\n",
+        "0 1\n1 \u00b2\n",
+        "0 1\n1 2_0\n20 3\n1_0 10\n",
+        "0 1\n1 0000000000000000000002\n2 -123456789012345678901\n2 0\n",
+        "0 1\n1 2\n2 3_\n",
+        "0 1\n+1 +2_2\n22 -0\n",
+        "9223372036854775807 9223372036854775808\n0 -9223372036854775809\n",
+    ])
+    def test_unusual_bodies_match_line_parser(self, tmp_path, body):
+        # separators, line breaks and digits outside ASCII, and tokens that
+        # np.fromstring cannot read, mixed into otherwise plain files
+        path = tmp_path / "unusual.txt"
+        path.write_bytes(body.encode("utf-8"))
+        _assert_same_as_line_parser(path)
 
 
 class TestSeeding:
