@@ -8,9 +8,10 @@ good nodes (pruned_pt / pruned), timing each and reporting quality, speedup,
 prune ratio, recall, and inference cost.
 
 Solver timing excludes graph construction and network inference; inference
-is timed separately (forward pass plus thresholding). Non-timing fields are
-deterministic given the config, which is what the determinism acceptance
-check relies on.
+is timed separately (the float32 pass of ``gcn.predict``, threshold
+included, over features and a mean-adjacency operator built beforehand).
+Non-timing fields are deterministic given the config, which is what the
+determinism acceptance check relies on.
 """
 
 from __future__ import annotations

@@ -284,6 +284,12 @@ def _cmd_prune(args) -> int:
     good = predict_good_nodes(params, g)
     _write_good_nodes(good, args.out)
     print(f"wrote {args.out} ({good.size}/{g.n} good nodes)")
+    if good.size == 0:
+        print(f"prunesolve prune: warning: the model marks no node good; "
+              f"solve rejects {args.out} as a candidate file", file=sys.stderr)
+    elif good.size == g.n:
+        print("prunesolve prune: warning: the model marks every node good, "
+              "so nothing is pruned", file=sys.stderr)
     return 0
 
 

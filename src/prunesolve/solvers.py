@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, NodeSet
+from .graph import Graph, NodeSet, _int_rows_text
 
 MVC = "mvc"
 MIS = "mis"
@@ -146,9 +146,8 @@ def format_solution(g: Graph, s: Solution) -> str:
     """Render the text form: a header line followed by sorted node ids."""
     cov = f"{coverage(g, s):.6f}" if s.problem == MVC else "-"
     opt = "-" if s.optimal is None else ("true" if s.optimal else "false")
-    lines = [f"{s.problem} {s.algorithm} {s.size} {cov} {s.runtime:.6f} {opt}"]
-    lines.extend(str(v) for v in s.nodes.ids())
-    return "\n".join(lines) + "\n"
+    head = f"{s.problem} {s.algorithm} {s.size} {cov} {s.runtime:.6f} {opt}\n"
+    return head + _int_rows_text(s.nodes.ids()[:, None])
 
 
 def _induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:

@@ -360,15 +360,15 @@ def train_student(g: Graph, labels: LabelSet, teacher: GcnParams,
 
 def predict_good_nodes(params: GcnParams, g: Graph,
                        x: np.ndarray | None = None) -> NodeSet:
-    """Nodes whose class-1 logit is at least the class-0 logit.
+    """Nodes whose class-1 logit is at least the class-0 logit, from the
+    float32 pass of :func:`gcn.predict`.
 
     Ties go to good: for vertex cover, dropping a borderline node risks
     losing edge coverage.
     """
     if x is None:
         x = degree_features(g)
-    logits = gcn.forward(g, params, x)
-    return NodeSet((logits[:, 1] >= logits[:, 0]))
+    return NodeSet(gcn.predict(g, params, x))
 
 
 def recall(pred: NodeSet, truth: LabelSet) -> float:

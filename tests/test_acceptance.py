@@ -16,6 +16,7 @@ import pytest
 from _brute import brute_mis, brute_mvc
 from conftest import random_graph
 from test_gcn import max_rel_error, numeric_gradient
+from prunesolve import bench
 from prunesolve.bench import (
     TIMING_COLUMNS,
     GraphSpec,
@@ -140,7 +141,9 @@ def test_a2_gradients_match_finite_differences(capfd):
 @pytest.fixture(scope="module")
 def mvc_pipeline():
     """One full cover pipeline: label BA-1K with greedy, train teacher and
-    both students, benchmark greedy on BA-5K. Shared by A3 and A4."""
+    both students, benchmark greedy on BA-5K. Shared by A3 and A4, and by
+    A9 through the third item: the (params, graph, features, good nodes)
+    of every prediction the pipeline made."""
     cfg = PipelineConfig(
         problem="mvc",
         train_graph=GraphSpec("ba1k", n=1000, m=4, seed=1),
@@ -148,9 +151,18 @@ def mvc_pipeline():
         solvers=["greedy"],
         seed=7,
     )
+    predictions = []
+
+    def recorded(params, g, x=None):
+        good = predict_good_nodes(params, g, x)
+        predictions.append((params, g, x, good))
+        return good
+
     t0 = time.perf_counter()
-    report = run_pipeline(cfg)
-    return report, time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "predict_good_nodes", recorded)
+        report = run_pipeline(cfg)
+    return report, time.perf_counter() - t0, predictions
 
 
 def row_for(report, solver, variant):
@@ -162,7 +174,7 @@ def test_a3_pruned_greedy_cover_quality(mvc_pipeline, capfd):
     """Greedy cover restricted to the student's good nodes on BA-5K: a strict,
     non-empty good-node subset, edge coverage >= 0.99 and size within 5% of
     unrestricted greedy, with the whole pipeline under 10 minutes."""
-    report, elapsed = mvc_pipeline
+    report, elapsed, _ = mvc_pipeline
     base = row_for(report, "greedy", "baseline")
     pruned = row_for(report, "greedy", "pruned")
     ok = (0.0 < pruned.prune_ratio < 1.0
@@ -180,7 +192,7 @@ def test_a4_boosted_student_recall(mvc_pipeline, capfd):
     """On BA-5K oracle labels, the boosted student's recall of good nodes
     must be within 0.01 of both the teacher and the distillation-only
     student, with the student marking a strict, non-empty subset."""
-    report, _ = mvc_pipeline
+    report, _, _ = mvc_pipeline
     r = row_for(report, "greedy", "pruned")
     ok = (0.0 < r.prune_ratio < 1.0
           and r.recall_student >= r.recall_teacher - 0.01
@@ -196,7 +208,7 @@ def test_a4_boosted_student_recall(mvc_pipeline, capfd):
 def mis_prune():
     """Independent-set pipeline driven through the library API: teacher and
     boosted student trained on BA-1K greedy labels, pruning a BA-10K test
-    graph. Shared state for A5."""
+    graph. Shared state for A5, and for A9 through the models."""
     master = 21
     train_g = generate_ba(1000, 4, seed=1)
     test_g = generate_ba(10000, 4, seed=3)
@@ -208,14 +220,14 @@ def mis_prune():
     student = train_student(train_g, labels, teacher.params, bw,
                             StudentConfig(seed=derive_seed(master, "student")))
     good = predict_good_nodes(student.params, test_g)
-    return test_g, good
+    return test_g, good, {"teacher": teacher.params, "student": student.params}
 
 
 def test_a5_pruned_mis_speedups(mis_prune, capfd):
     """On BA-10K, pruning to the student's good nodes must speed local
     search up >= 2.0x and greedy up >= 1.2x (medians of 3 runs), with the
     good set a proper, non-empty fraction (0 < ratio < 0.9) of the nodes."""
-    g, good = mis_prune
+    g, good, _ = mis_prune
     cand = Candidates.restrict(good)
     ratio = good.size / g.n
     invalid = []
@@ -325,3 +337,28 @@ def test_a8_bench_reports_identical_modulo_timing(tmp_path, capfd):
             ok,
             f"{len(first)} bytes compared" if first == second
             else "stripped reports differ")
+
+
+def test_a9_float32_inference_matches_float64(mvc_pipeline, mis_prune, capfd):
+    """The float32 pass behind predict_good_nodes must mark the same nodes
+    as thresholded float64 logits on every trained model: A3/A4's teacher,
+    boosted and distillation-only students on BA-5K, and A5's teacher and
+    student on BA-10K. Any flipped node fails; the smallest float64 margin
+    shows how near a tie the models came."""
+    _, _, predictions = mvc_pipeline
+    g10, good10, models = mis_prune
+    x10 = degree_features(g10)
+    teacher10 = models["teacher"]
+    cases = [*predictions,
+             (teacher10, g10, x10, predict_good_nodes(teacher10, g10, x10)),
+             (models["student"], g10, x10, good10)]
+    flips, smallest = 0, np.inf
+    for params, g, x, good in cases:
+        logits = forward(g, params, degree_features(g) if x is None else x)
+        margin = logits[:, 1] - logits[:, 0]
+        flips += int((good.mask != (margin >= 0)).sum())
+        smallest = min(smallest, float(np.abs(margin).min()))
+    verdict(capfd, "A9 float32 inference vs float64 forward",
+            len(predictions) == 3 and flips == 0,
+            f"{len(cases)} models, {flips} flipped nodes, "
+            f"smallest float64 margin {smallest:.2e}")

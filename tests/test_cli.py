@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from test_gcn import zero_like
 from prunesolve.cli import OUT_DIR_ENV, _write_good_nodes, main
 from prunesolve.gcn import init_params, load_params, save_params
 from prunesolve.graph import NodeSet, load_edge_list
@@ -208,6 +209,22 @@ class TestPruneAndSolve:
         ids = [int(x) for x in lines[1:]]
         assert len(ids) == int(lines[0].split(":")[1])
         assert all(0 <= v < 60 for v in ids)
+
+    @pytest.mark.parametrize("bias, size, warning", [
+        ([1.0, 0.0], 0, "the model marks no node good; solve rejects"),
+        ([0.0, 1.0], 60, "the model marks every node good, so nothing is pruned"),
+    ], ids=["none-good", "all-good"])
+    def test_degenerate_prune_warns(self, workdir, capsys, bias, size, warning):
+        g = make_graph(workdir)
+        params = zero_like(init_params([1, 4, 2], seed=0))
+        params.bias[-1][:] = bias
+        save_params(params, workdir / "forced.npz")
+        out = workdir / "good.txt"
+        capsys.readouterr()
+        assert run("prune", "--params", str(workdir / "forced.npz"),
+                   "--graph", str(g), "--out", str(out)) == 0
+        assert out.read_text().startswith(f"# good nodes: {size}\n")
+        assert warning in capsys.readouterr().err
 
     def test_solve_prints_solution(self, workdir, capsys):
         g = make_graph(workdir)

@@ -18,6 +18,7 @@ from prunesolve.gcn import (
     init_params,
     kd_loss,
     load_params,
+    predict,
     save_params,
     softmax,
     supervised_loss,
@@ -160,6 +161,51 @@ class TestForward:
         h1 = cache.inputs[1]
         ratio = np.divide(h1, h0, out=np.zeros_like(h1), where=h0 != 0)
         assert set(np.round(ratio[h0 != 0], 9)) <= {0.0, 2.0}
+
+
+class TestPredict:
+    """The float32 pass against thresholded float64 :func:`forward`."""
+
+    GRAPHS = [random_graph(4 + seed % 20, (0.1, 0.3, 0.6)[seed % 3], seed)
+              for seed in range(30)] + [
+        Graph(7, np.empty((0, 2), dtype=np.int64)),
+        graph_from_edges(9, [(0, 1), (1, 2), (2, 0), (3, 4)]),  # 5..8 isolated
+    ]
+
+    # widening, equal and narrowing layers, one to four of them
+    @pytest.mark.parametrize("dims", [
+        (1, 2), (3, 2), (1, 8, 2), (2, 2, 2), (4, 16, 4, 2),
+        (1, 32, 32, 32, 2), (6, 3, 12, 5, 2),
+    ])
+    def test_matches_thresholded_forward(self, dims):
+        params = init_params(dims, seed=len(dims))
+        rng = np.random.default_rng(sum(dims))
+        for b in params.bias:
+            b[:] = rng.normal(scale=0.5, size=b.shape)
+        compared = 0
+        for g in self.GRAPHS:
+            x = rng.normal(size=(g.n, dims[0]))
+            logits = forward(g, params, x)
+            margin = logits[:, 1] - logits[:, 0]
+            clear = np.abs(margin) > 1e-4 * np.abs(logits).max()
+            good = predict(g, params, x)
+            assert good.dtype == bool and good.shape == (g.n,)
+            assert np.array_equal(good[clear], margin[clear] >= 0)
+            compared += int(clear.sum())
+        assert compared > 0.9 * sum(g.n for g in self.GRAPHS)
+
+    @pytest.mark.parametrize("g", GRAPHS[-2:], ids=["edgeless", "isolated"])
+    def test_zero_params_mark_every_node_good(self, g):
+        p = zero_like(init_params([2, 8, 8, 2], seed=0))
+        x = np.random.default_rng(1).normal(size=(g.n, 2))
+        assert predict(g, p, x).all()
+
+    def test_feature_shape_checked(self, cycle5):
+        p = init_params([1, 6, 2], seed=4)
+        with pytest.raises(ValueError):
+            predict(cycle5, p, np.ones((4, 1)))
+        with pytest.raises(ValueError):
+            predict(cycle5, p, np.ones((5, 2)))
 
 
 class TestSoftmaxAndLosses:
