@@ -52,7 +52,7 @@ print(f"epoch {last[0]}: train {last[1]:.2f}  val {last[2]:.2f}")
 
 # Recall on the validation half is the number that matters downstream: a
 # pruned solver can only use nodes the network kept.
-good = predict_good_nodes(result.params, g, x)
+good = predict_good_nodes(result.params, g)
 print(f"\npredicted good nodes: {good.size}/{g.n}")
 val = labels.val_ids
 val_pos = labels.labels[val] == 1

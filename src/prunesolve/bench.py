@@ -7,11 +7,14 @@ the full node set (baseline) and on the teacher's and student's predicted
 good nodes (pruned_pt / pruned), timing each and reporting quality, speedup,
 prune ratio, recall, and inference cost.
 
-Solver timing excludes graph construction and network inference; inference
-is timed separately (the float32 pass of ``gcn.predict``, threshold
-included, over features and a mean-adjacency operator built beforehand).
-Non-timing fields are deterministic given the config, which is what the
-determinism acceptance check relies on.
+Solver timing excludes graph construction and network inference. Each
+model's good nodes on a test graph come from one ``predict_good_nodes``
+call, and ``infer_*_ms`` is that call's wall time: the degree features, the
+float32 pass of ``gcn.predict`` and the threshold, which is what ``prune``
+pays after reading its graph. The teacher's call comes first on each graph,
+so it also builds the graph's cached float64 ``D^-1 A`` (about 1 ms at
+BA-10K, under 2 % of a teacher pass). Non-timing fields are deterministic
+given the config, which is what the determinism acceptance check relies on.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import time
 import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import gcn
 from .graph import Graph, check_ba_args, derive_seed, generate_ba, load_edge_list
 from .solvers import (
     MVC,
@@ -41,7 +44,6 @@ from .training import (
     StudentConfig,
     TeacherConfig,
     boost_weights,
-    degree_features,
     generate_labels,
     predict_good_nodes,
     recall,
@@ -50,12 +52,8 @@ from .training import (
 )
 
 VARIANTS = ("baseline", "pruned_pt", "pruned")
+SOLVER_REPEATS = 3  # runs per solver cell; the cell reports their median
 
-CSV_COLUMNS = [
-    "graph", "n", "m", "problem", "solver", "variant", "size", "coverage",
-    "runtime_s", "speedup", "prune_ratio", "recall_teacher", "recall_kd",
-    "recall_student", "infer_teacher_ms", "infer_student_ms",
-]
 TIMING_COLUMNS = ("runtime_s", "speedup", "infer_teacher_ms", "infer_student_ms")
 
 REPORT_NOTES = [
@@ -107,13 +105,10 @@ class PipelineConfig:
     test_graphs: list[GraphSpec]
     solvers: list[str]
     label_oracle: str = LABEL_ORACLE
-    recall_oracle: str | None = None  # None: same as label_oracle
     seed: int = 0
     teacher: TeacherConfig | None = None
     student: StudentConfig | None = None
     exact_time_limit: float = TIME_LIMIT
-    solver_repeats: int = 3
-    inference_repeats: int = 5
 
     def __post_init__(self):
         self.problem = _norm_problem(self.problem)
@@ -125,8 +120,7 @@ class PipelineConfig:
             self.student = StudentConfig(seed=derive_seed(self.seed, "student"))
         if not self.solvers:
             raise ValueError("config needs at least one solver")
-        oracles = [self.label_oracle, self.recall_oracle or self.label_oracle]
-        for s in [*self.solvers, *oracles]:
+        for s in [*self.solvers, self.label_oracle]:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}, expected one of {SOLVERS}")
         if not self.test_graphs:
@@ -134,12 +128,12 @@ class PipelineConfig:
         if not self.exact_time_limit > 0:
             raise ValueError(
                 f"exact_time_limit must be > 0, got {self.exact_time_limit}")
-        if self.solver_repeats < 1 or self.inference_repeats < 1:
-            raise ValueError("repeat counts must be at least 1")
 
 
 @dataclass
 class BenchRow:
+    """One report row; its fields, in order, are the CSV columns."""
+
     graph: str
     n: int
     m: int
@@ -158,6 +152,9 @@ class BenchRow:
     infer_student_ms: float
 
 
+CSV_COLUMNS = [f.name for f in dataclasses.fields(BenchRow)]
+
+
 @dataclass
 class BenchReport:
     config: PipelineConfig
@@ -173,11 +170,11 @@ def speedup(time_baseline: float, time_variant: float) -> float:
 
 
 def _run_cell(g: Graph, problem: str, solver: str, cand: Candidates,
-              time_limit: float, repeats: int):
+              time_limit: float):
     """One (graph, solver, variant) measurement: repeated identical runs,
     validity check on the final solution. Returns (solution, median time)."""
     times = []
-    for _ in range(repeats):
+    for _ in range(SOLVER_REPEATS):
         sol = solve(g, problem, solver, cand, time_limit)
         times.append(sol.runtime)
     report = validate_solution(g, sol)
@@ -185,6 +182,14 @@ def _run_cell(g: Graph, problem: str, solver: str, cand: Candidates,
         raise PipelineError("solve", f"{solver} produced an invalid solution: "
                                      + "; ".join(report.failures))
     return sol, float(np.median(times))
+
+
+def _timed_prediction(params, g: Graph):
+    """Good nodes from one ``predict_good_nodes`` call, and its wall time
+    in milliseconds."""
+    t0 = time.perf_counter()
+    good = predict_good_nodes(params, g)
+    return good, (time.perf_counter() - t0) * 1e3
 
 
 def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
@@ -219,7 +224,7 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
     # phase 2: boosted student plus distillation-only student
     try:
         say("phase 2: training students")
-        bw = boost_weights(teacher.params, train_g, labels, problem)
+        bw = boost_weights(teacher.params, train_g, labels)
         student = train_student(train_g, labels, teacher.params, bw, cfg.student)
         kd_student = train_student(train_g, labels, teacher.params, None, cfg.student)
     except Exception as e:
@@ -231,10 +236,9 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
         for spec in cfg.test_graphs:
             say(f"phase 3: benchmarking on {spec.name}")
             tg = spec.materialize()
-            x = degree_features(tg)
-            good_t = predict_good_nodes(teacher.params, tg, x)
-            good_s = predict_good_nodes(student.params, tg, x)
-            good_kd = predict_good_nodes(kd_student.params, tg, x)
+            good_t, infer_t = _timed_prediction(teacher.params, tg)
+            good_s, infer_s = _timed_prediction(student.params, tg)
+            good_kd, _ = _timed_prediction(kd_student.params, tg)
             for model, good in (("teacher", good_t), ("student", good_s),
                                 ("distilled-only student", good_kd)):
                 if good.size in (0, tg.n):
@@ -243,7 +247,7 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
                         f"node good on {spec.name}"
                     )
             truth = generate_labels(
-                tg, problem, cfg.recall_oracle or cfg.label_oracle,
+                tg, problem, cfg.label_oracle,
                 seed=derive_seed(cfg.seed, "recall-labels", spec.name),
                 time_limit=cfg.exact_time_limit,
             )
@@ -252,10 +256,7 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
                 recall_teacher=recall(good_t, truth),
                 recall_kd=recall(good_kd, truth),
                 recall_student=recall(good_s, truth),
-                infer_teacher_ms=gcn.time_inference(
-                    tg, teacher.params, x, cfg.inference_repeats),
-                infer_student_ms=gcn.time_inference(
-                    tg, student.params, x, cfg.inference_repeats),
+                infer_teacher_ms=infer_t, infer_student_ms=infer_s,
             )
             cands = {
                 "baseline": (Candidates.all(), 1.0),
@@ -266,7 +267,7 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
                 for variant in VARIANTS:
                     cand, ratio = cands[variant]
                     sol, runtime = _run_cell(tg, problem, solver, cand,
-                                             cfg.exact_time_limit, cfg.solver_repeats)
+                                             cfg.exact_time_limit)
                     if variant == "baseline":
                         base_runtime = runtime
                         if sol.optimal is False:
@@ -291,10 +292,14 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
 # Report emission
 
 
-def _fmt(value, spec: str) -> str:
+def _cell(name: str, value):
+    """A CSV cell: floats to 3 places for ``infer_*`` and 6 for the rest,
+    None as empty, everything else as itself."""
     if value is None:
         return ""
-    return format(value, spec)
+    if isinstance(value, float):
+        return format(value, ".3f" if name.startswith("infer_") else ".6f")
+    return value
 
 
 def emit_report(report: BenchReport, fmt: str, path) -> None:
@@ -304,15 +309,7 @@ def emit_report(report: BenchReport, fmt: str, path) -> None:
             writer = csv.writer(f)
             writer.writerow(CSV_COLUMNS)
             for r in report.rows:
-                writer.writerow([
-                    r.graph, r.n, r.m, r.problem, r.solver, r.variant, r.size,
-                    _fmt(r.coverage, ".6f"), _fmt(r.runtime_s, ".6f"),
-                    _fmt(r.speedup, ".6f"), _fmt(r.prune_ratio, ".6f"),
-                    _fmt(r.recall_teacher, ".6f"), _fmt(r.recall_kd, ".6f"),
-                    _fmt(r.recall_student, ".6f"),
-                    _fmt(r.infer_teacher_ms, ".3f"),
-                    _fmt(r.infer_student_ms, ".3f"),
-                ])
+                writer.writerow([_cell(k, v) for k, v in asdict(r).items()])
     elif fmt == "json":
         payload = {
             "config": asdict(report.config),

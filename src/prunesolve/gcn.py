@@ -19,12 +19,11 @@ Training, :func:`forward` and :func:`backward` run in float64, so the
 finite-difference gradient checks and the trained parameters stay exact to
 the last bit. Inference, :func:`predict`, runs a separate float32 pass that
 picks per layer whether to aggregate or project first; it returns only the
-good-node mask and is what :func:`time_inference` times.
+good-node mask.
 """
 
 from __future__ import annotations
 
-import time
 import zipfile
 from dataclasses import dataclass
 
@@ -399,15 +398,3 @@ def load_params(path) -> GcnParams:
         raise ValueError(f"stored dims {list(dims)} do not match matrix shapes")
     return params
 
-
-def time_inference(g: Graph, params: GcnParams, x: np.ndarray,
-                   repeats: int = 3) -> float:
-    """Median wall time of :func:`predict`, in milliseconds."""
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        predict(g, params, x)
-        times.append((time.perf_counter() - t0) * 1e3)
-    return float(np.median(times))

@@ -12,7 +12,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class EdgeListParseError(ValueError):
@@ -138,13 +137,16 @@ class Graph:
             self._lists = tuple([tuple(t[o[v]:o[v + 1]]) for v in range(self.n)])
         return self._lists
 
-    def mean_adjacency_csr(self) -> sp.csr_matrix:
+    def mean_adjacency_csr(self):
         """Row-normalized adjacency D^-1 A as a scipy CSR matrix (cached).
 
         Row v averages v's neighbors; an isolated node's row is empty, so it
-        aggregates to zero.
+        aggregates to zero. scipy is imported here, not with the module, so
+        the solvers and the edge-list reader run without loading it.
         """
         if self._mean_csr is None:
+            import scipy.sparse as sp
+
             deg = self.degrees()
             data = np.repeat(1.0 / np.maximum(deg, 1), deg)
             self._mean_csr = sp.csr_matrix(

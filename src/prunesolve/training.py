@@ -98,9 +98,8 @@ def save_labels(ls: LabelSet, path) -> None:
             f.write(f"{v} {int(ls.labels[v])} {split[v]}\n")
 
 
-def load_labels(path, problem: str | None = None,
-                oracle: str | None = None) -> LabelSet:
-    """Parse the text form; header values may be overridden by arguments."""
+def load_labels(path) -> LabelSet:
+    """Parse the text form that :func:`save_labels` writes."""
     meta: dict[str, str] = {}
     rows: list[tuple[int, int, str]] = []
     with open(path) as f:
@@ -125,12 +124,9 @@ def load_labels(path, problem: str | None = None,
                 raise ValueError(
                     f"{path}: line {lineno}: non-integer node or label"
                 ) from None
-    problem = problem or meta.get("problem")
-    oracle = oracle or meta.get("oracle")
+    problem, oracle = meta.get("problem"), meta.get("oracle")
     if problem is None or oracle is None:
-        raise ValueError(
-            f"{path}: file does not declare its problem/oracle; pass them explicitly"
-        )
+        raise ValueError(f"{path}: file does not declare its problem/oracle")
     if not rows:
         raise ValueError(f"{path}: no label lines")
     n = max(r[0] for r in rows) + 1
@@ -288,17 +284,16 @@ class BoostWeights:
             raise ValueError("boost weights must be positive")
 
 
-def boost_weights(teacher: GcnParams, g: Graph, labels: LabelSet,
-                  problem: str | None = None) -> BoostWeights:
+def boost_weights(teacher: GcnParams, g: Graph, labels: LabelSet) -> BoostWeights:
     """One-shot boosting pass over the train nodes.
 
     Start uniform at 1/|train|; scale misclassified nodes by exp(a) and
     correct ones by exp(-a) with a = ln((1-eps)/eps)/2, eps the teacher's
-    clamped train error rate; multiply by train-normalized degree (cover) or
-    reciprocal degree (independent set, degree 0 treated as 1); rescale so
-    the weights sum to |train|, keeping the supervised term's scale.
+    clamped train error rate; multiply by train-normalized degree (cover
+    labels) or reciprocal degree (independent-set labels, degree 0 treated
+    as 1); rescale so the weights sum to |train|, keeping the supervised
+    term's scale.
     """
-    problem = _norm_problem(problem or labels.problem)
     ids = labels.train_ids
     logits = gcn.forward(g, teacher, degree_features(g))
     pred = (logits[:, 1] >= logits[:, 0]).astype(np.int8)
@@ -308,7 +303,7 @@ def boost_weights(teacher: GcnParams, g: Graph, labels: LabelSet,
     w = np.full(len(ids), 1.0 / max(len(ids), 1))
     w *= np.where(wrong, np.exp(alpha), np.exp(-alpha))
     deg = g.degrees().astype(np.float64)[ids]
-    if problem == MVC:
+    if _norm_problem(labels.problem) == MVC:
         term = deg
     else:
         safe = np.where(deg > 0, deg, 1.0)
@@ -358,17 +353,14 @@ def train_student(g: Graph, labels: LabelSet, teacher: GcnParams,
                 train_loss, val_loss)
 
 
-def predict_good_nodes(params: GcnParams, g: Graph,
-                       x: np.ndarray | None = None) -> NodeSet:
+def predict_good_nodes(params: GcnParams, g: Graph) -> NodeSet:
     """Nodes whose class-1 logit is at least the class-0 logit, from the
-    float32 pass of :func:`gcn.predict`.
+    float32 pass of :func:`gcn.predict` over :func:`degree_features`.
 
     Ties go to good: for vertex cover, dropping a borderline node risks
     losing edge coverage.
     """
-    if x is None:
-        x = degree_features(g)
-    return NodeSet(gcn.predict(g, params, x))
+    return NodeSet(gcn.predict(g, params, degree_features(g)))
 
 
 def recall(pred: NodeSet, truth: LabelSet) -> float:

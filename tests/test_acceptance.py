@@ -8,7 +8,9 @@ module-scoped fixture.
 
 import csv
 import json
+import statistics
 import time
+import timeit
 
 import numpy as np
 import pytest
@@ -31,8 +33,8 @@ from prunesolve.gcn import (
     forward_train,
     init_params,
     kd_loss,
+    predict,
     supervised_loss,
-    time_inference,
 )
 from prunesolve.graph import NodeSet, derive_seed, generate_ba, make_rng
 from prunesolve.solvers import (
@@ -142,8 +144,8 @@ def test_a2_gradients_match_finite_differences(capfd):
 def mvc_pipeline():
     """One full cover pipeline: label BA-1K with greedy, train teacher and
     both students, benchmark greedy on BA-5K. Shared by A3 and A4, and by
-    A9 through the third item: the (params, graph, features, good nodes)
-    of every prediction the pipeline made."""
+    A9 through the third item: the (params, graph, good nodes) of every
+    prediction the pipeline made."""
     cfg = PipelineConfig(
         problem="mvc",
         train_graph=GraphSpec("ba1k", n=1000, m=4, seed=1),
@@ -153,9 +155,9 @@ def mvc_pipeline():
     )
     predictions = []
 
-    def recorded(params, g, x=None):
-        good = predict_good_nodes(params, g, x)
-        predictions.append((params, g, x, good))
+    def recorded(params, g):
+        good = predict_good_nodes(params, g)
+        predictions.append((params, g, good))
         return good
 
     t0 = time.perf_counter()
@@ -255,14 +257,19 @@ def test_a5_pruned_mis_speedups(mis_prune, capfd):
 
 
 def test_a6_student_inference_and_size(capfd):
-    """On BA-50K, the narrow student's forward pass must beat the wide
+    """On BA-50K, the narrow student's inference pass must beat the wide
     teacher's (medians of 5) at under 10% of the parameter count."""
     g = generate_ba(50000, 4, seed=4)
     x = degree_features(g)
     teacher = init_params([1, 128, 128, 128, 2], 0)
     student = init_params([1, 32, 32, 32, 2], 0)
-    t_ms = time_inference(g, teacher, x, repeats=5)
-    s_ms = time_inference(g, student, x, repeats=5)
+
+    def median_ms(params):
+        runs = timeit.repeat(lambda: predict(g, params, x), number=1, repeat=5)
+        return 1e3 * statistics.median(runs)
+
+    t_ms = median_ms(teacher)
+    s_ms = median_ms(student)
     frac = student.param_count() / teacher.param_count()
     ok = s_ms < t_ms and frac < 0.10
     verdict(capfd, "A6 student inference speed and size",
@@ -347,14 +354,13 @@ def test_a9_float32_inference_matches_float64(mvc_pipeline, mis_prune, capfd):
     shows how near a tie the models came."""
     _, _, predictions = mvc_pipeline
     g10, good10, models = mis_prune
-    x10 = degree_features(g10)
     teacher10 = models["teacher"]
     cases = [*predictions,
-             (teacher10, g10, x10, predict_good_nodes(teacher10, g10, x10)),
-             (models["student"], g10, x10, good10)]
+             (teacher10, g10, predict_good_nodes(teacher10, g10)),
+             (models["student"], g10, good10)]
     flips, smallest = 0, np.inf
-    for params, g, x, good in cases:
-        logits = forward(g, params, degree_features(g) if x is None else x)
+    for params, g, good in cases:
+        logits = forward(g, params, degree_features(g))
         margin = logits[:, 1] - logits[:, 0]
         flips += int((good.mask != (margin >= 0)).sum())
         smallest = min(smallest, float(np.abs(margin).min()))

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from prunesolve import bench
+from prunesolve import bench, gcn
 from prunesolve.bench import (
     CSV_COLUMNS,
     REPORT_NOTES,
@@ -102,8 +102,6 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             tiny_config(test_graphs=[])
         with pytest.raises(ValueError):
-            tiny_config(solver_repeats=0)
-        with pytest.raises(ValueError):
             tiny_config(problem="tsp")
 
 
@@ -168,7 +166,7 @@ class TestRunPipeline:
         # Rows come by graph in config order, then solver, then variant; the
         # timeout notes of all graphs follow every model note.
         monkeypatch.setattr(bench, "predict_good_nodes",
-                            lambda params, g, x: NodeSet(np.ones(g.n, dtype=bool)))
+                            lambda params, g: NodeSet(np.ones(g.n, dtype=bool)))
         rep = run_pipeline(tiny_config(
             test_graphs=[GraphSpec("a", n=80, m=2, seed=2),
                          GraphSpec("b", n=70, m=2, seed=3)],
@@ -182,6 +180,23 @@ class TestRunPipeline:
             *(f"exact baseline on {g} hit the time limit; best incumbent reported"
               for g in "ab"),
         ]
+
+    def test_three_inference_passes_per_test_graph(self, monkeypatch):
+        # one pass per model on each graph; the infer_*_ms columns time the
+        # passes that make the good-node sets, not extra ones
+        calls = []
+        predict = gcn.predict
+
+        def counted(g, params, x):
+            calls.append(g.n)
+            return predict(g, params, x)
+
+        monkeypatch.setattr(gcn, "predict", counted)
+        run_pipeline(tiny_config(
+            test_graphs=[GraphSpec("a", n=80, m=2, seed=2),
+                         GraphSpec("b", n=70, m=2, seed=3)],
+            solvers=["greedy"]))
+        assert calls == [80, 80, 80, 70, 70, 70]
 
     def test_exact_timeout_noted_not_fatal(self):
         rep = run_pipeline(tiny_config(solvers=["exact"], exact_time_limit=1e-4))
@@ -245,8 +260,11 @@ class TestConfigParsing:
             "test_graphs": [{"name": "u", "n": 40, "m": 2, "seed": 1}],
             "solvers": ["greedy"],
         }
-        with pytest.raises(ValueError, match="unknown keys"):
-            config_from_dict({**base, "sover_repeats": 3})
+        # a config written for an earlier version fails, not half-applied
+        for key, value in (("sover_repeats", 3), ("inference_repeats", 5),
+                           ("recall_oracle", "greedy"), ("solver_repeats", 3)):
+            with pytest.raises(ValueError, match="unknown keys"):
+                config_from_dict({**base, key: value})
         with pytest.raises(ValueError, match="teacher"):
             config_from_dict({**base, "teacher": {"epochz": 5}})
 
@@ -283,5 +301,6 @@ class TestConfigParsing:
     def test_values_keep_their_json_type(self):
         # an int for a float field stays an int, so the report echoes it as given
         cfg = config_from_dict({**self.BASE, "exact_time_limit": 60,
-                                "recall_oracle": None})
-        assert type(cfg.exact_time_limit) is int and cfg.recall_oracle is None
+                                "teacher": None})
+        assert type(cfg.exact_time_limit) is int
+        assert cfg.teacher == TeacherConfig(seed=derive_seed(0, "teacher"))

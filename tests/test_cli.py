@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prunesolve
 from test_gcn import zero_like
 from prunesolve.cli import OUT_DIR_ENV, _write_good_nodes, main
 from prunesolve.gcn import init_params, load_params, save_params
@@ -453,14 +458,14 @@ class TestBadValues:
         (["train-student", "--graph", "g.txt", "--labels", "l.txt",
           "--teacher", "t.npz"], {"boost": "no"},
          "boost must be true or false, got 'no'"),
-        (["bench"], {**PIPELINE, "solver_repeats": 1.5},
-         "solver_repeats must be an integer, got 1.5"),
+        (["bench"], {**PIPELINE, "seed": 1.5},
+         "seed must be an integer, got 1.5"),
         (["bench"], {**PIPELINE, "teacher": {"epochs": "5"}},
          "teacher.epochs must be an integer, got '5'"),
         (["bench"], {**PIPELINE, "exact_time_limit": -1},
          "exact_time_limit must be > 0, got -1"),
     ], ids=["solve-seed", "gen-n", "solve-time-limit", "gen-n-m", "gen-seed",
-            "gen-m", "student-boost", "bench-repeats", "bench-epochs",
+            "gen-m", "student-boost", "bench-seed", "bench-epochs",
             "bench-time-limit"])
     def test_exits_1_before_any_work(self, workdir, capsys, argv, config, message):
         if config is not None:
@@ -478,6 +483,24 @@ class TestBadValues:
 class TestTopLevel:
     def test_no_command_is_usage_error(self, workdir):
         assert run() == 1
+
+    def test_solve_loads_no_scipy(self, tmp_path):
+        # scipy is imported only to build the network's D^-1 A operator, so a
+        # fresh process that solves in full space never loads it
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 0\n2 3\n")
+        script = (
+            "import sys\n"
+            "from prunesolve.cli import main\n"
+            f"code = main(['solve', '--graph', {str(graph)!r}, "
+            "'--problem', 'mvc', '--solver', 'greedy'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(prunesolve.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []"
 
     def test_unknown_command(self, workdir):
         assert run("frobnicate") == 1

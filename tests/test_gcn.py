@@ -22,7 +22,6 @@ from prunesolve.gcn import (
     save_params,
     softmax,
     supervised_loss,
-    time_inference,
 )
 from prunesolve.graph import Graph, make_rng
 
@@ -492,15 +491,3 @@ class TestPersistence:
         np.savez(f, **arrays)
         with pytest.raises(ValueError):
             load_params(f)
-
-
-class TestTiming:
-    def test_time_inference_positive(self, cycle5):
-        p = init_params([1, 4, 2], seed=0)
-        ms = time_inference(cycle5, p, np.ones((5, 1)), repeats=3)
-        assert ms > 0.0
-
-    def test_time_inference_validates_repeats(self, cycle5):
-        p = init_params([1, 4, 2], seed=0)
-        with pytest.raises(ValueError):
-            time_inference(cycle5, p, np.ones((5, 1)), repeats=0)

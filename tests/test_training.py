@@ -108,18 +108,11 @@ class TestLabelIo:
         assert np.array_equal(back.labels, ls.labels)
         assert np.array_equal(back.train_ids, ls.train_ids)
 
-    def test_header_can_be_overridden(self, tmp_path, star5):
-        ls = generate_labels(star5, "mvc", "exact", seed=0)
-        p = tmp_path / "labels.txt"
-        save_labels(ls, p)
-        assert load_labels(p, problem="mis").problem == "mis"
-
     def test_missing_problem_is_an_error(self, tmp_path):
         p = tmp_path / "bare.txt"
         p.write_text("0 1 train\n1 0 val\n")
         with pytest.raises(ValueError):
             load_labels(p)
-        assert load_labels(p, problem="mvc", oracle="greedy").n == 2
 
 
 class TestDegreeFeatures:
@@ -140,7 +133,7 @@ class TestBoostWeights:
         teacher = GcnParams([np.array([[0.0, 1.0]])],
                             [np.array([[0.0, -0.5]])])
         labels = manual_labels("mvc", [1, 0, 0, 0, 0], np.arange(5), "exact")
-        bw = boost_weights(teacher, star5, labels, "mvc")
+        bw = boost_weights(teacher, star5, labels)
         assert np.allclose(bw.w, [2.5, 0.625, 0.625, 0.625, 0.625])
         assert bw.w.sum() == pytest.approx(5.0)
         assert bw.epsilon == pytest.approx(1e-6)
@@ -148,14 +141,14 @@ class TestBoostWeights:
     def test_epsilon_half_leaves_only_degree_term(self, path3):
         # zero teacher predicts everything good; labels make that half wrong
         labels = manual_labels("mvc", [1, 0, 0], [0, 1])
-        bw = boost_weights(zero_params([1, 2]), path3, labels, "mvc")
+        bw = boost_weights(zero_params([1, 2]), path3, labels)
         assert bw.epsilon == pytest.approx(0.5)
         assert np.allclose(bw.w, [2 / 3, 4 / 3])
 
     def test_misclassified_equal_degree_node_weighs_more(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         labels = manual_labels("mvc", [1, 1, 1, 0], np.arange(4))
-        bw = boost_weights(zero_params([1, 2]), g, labels, "mvc")
+        bw = boost_weights(zero_params([1, 2]), g, labels)
         assert bw.w[3] > bw.w[0]
         assert bw.w[0] == pytest.approx(bw.w[1]) == pytest.approx(bw.w[2])
         assert bw.epsilon == pytest.approx(0.25)
@@ -164,7 +157,7 @@ class TestBoostWeights:
         # zero teacher predicts all nodes good, matching all-one labels, so
         # only the reciprocal-degree term differentiates the weights
         labels = manual_labels("mis", [1, 1, 1, 1, 1], np.arange(5))
-        bw = boost_weights(zero_params([1, 2]), star5, labels, "mis")
+        bw = boost_weights(zero_params([1, 2]), star5, labels)
         assert bw.w[0] < bw.w[1]
         assert np.allclose(bw.w[1:], bw.w[1])
         assert bw.w.sum() == pytest.approx(5.0)
@@ -172,12 +165,12 @@ class TestBoostWeights:
     def test_isolated_node_reciprocal_uses_one(self):
         g = graph_from_edges(3, [(0, 1)])
         labels = manual_labels("mis", [1, 0, 1], np.arange(3))
-        bw = boost_weights(zero_params([1, 2]), g, labels, "mis")
+        bw = boost_weights(zero_params([1, 2]), g, labels)
         assert np.isfinite(bw.w).all() and (bw.w > 0).all()
 
     def test_all_wrong_is_clamped(self, path3):
         labels = manual_labels("mvc", [0, 0, 0], np.arange(3))
-        bw = boost_weights(zero_params([1, 2]), path3, labels, "mvc")
+        bw = boost_weights(zero_params([1, 2]), path3, labels)
         assert bw.epsilon == pytest.approx(1 - 1e-6)
         assert (bw.w > 0).all()
 
@@ -186,7 +179,7 @@ class TestBoostWeights:
             g = generate_ba(50, 3, seed=seed)
             labels = generate_labels(g, "mvc", "greedy", seed=seed)
             teacher = init_params([1, 8, 2], seed=seed)
-            bw = boost_weights(teacher, g, labels, "mvc")
+            bw = boost_weights(teacher, g, labels)
             assert bw.w.sum() == pytest.approx(len(labels.train_ids))
             assert (bw.w > 0).all()
             assert np.array_equal(bw.node_ids, labels.train_ids)
@@ -211,7 +204,7 @@ class TestTrainTeacher:
     def test_star_separates_by_degree(self):
         g, ls = star11_labels()
         res = train_teacher(g, ls, TeacherConfig(seed=0))
-        good = predict_good_nodes(res.params, g, degree_features(g))
+        good = predict_good_nodes(res.params, g)
         assert list(good.ids()) == [0]
         pred = good.mask.astype(np.int8)
         assert np.array_equal(pred[ls.train_ids], ls.labels[ls.train_ids])
@@ -275,7 +268,7 @@ class TestTrainStudent:
         teacher = train_teacher(g, ls, TeacherConfig(hidden_dims=(16,),
                                                      epochs=60, seed=0))
         cfg = StudentConfig(hidden_dims=(8, 8), epochs=50, seed=1)
-        bw = boost_weights(teacher.params, g, ls, "mvc")
+        bw = boost_weights(teacher.params, g, ls)
         res = train_student(g, ls, teacher.params, bw, cfg)
         assert res.params.dims == [1, 8, 8, 2]
         assert len(res.history) == 50
@@ -304,8 +297,7 @@ class TestTrainStudent:
 
 class TestPrediction:
     def test_zero_params_tie_means_everything_good(self, path3):
-        good = predict_good_nodes(zero_params([1, 2]), path3,
-                                  degree_features(path3))
+        good = predict_good_nodes(zero_params([1, 2]), path3)
         assert good.size == 3
 
     def test_recall_cases(self):
@@ -342,11 +334,10 @@ class TestPipelinePrediction:
                              seed=derive_seed(master, "labels"))
         teacher = train_teacher(train_g, ls,
                                 TeacherConfig(seed=derive_seed(master, "teacher")))
-        bw = boost_weights(teacher.params, train_g, ls, "mvc")
+        bw = boost_weights(teacher.params, train_g, ls)
         student = train_student(train_g, ls, teacher.params, bw,
                                 StudentConfig(seed=derive_seed(master, "student")))
-        good = predict_good_nodes(student.params, test_g,
-                                  degree_features(test_g))
+        good = predict_good_nodes(student.params, test_g)
         assert 0 < good.size < test_g.n, (
             f"student marked {good.size}/{test_g.n} nodes good; expected a "
             f"strict non-empty subset"
