@@ -12,9 +12,11 @@ model's good nodes on a test graph come from one ``predict_good_nodes``
 call, and ``infer_*_ms`` is that call's wall time: the degree features, the
 float32 pass of ``gcn.predict`` and the threshold, which is what ``prune``
 pays after reading its graph. The teacher's call comes first on each graph,
-so it also builds the graph's cached float64 ``D^-1 A`` (about 1 ms at
-BA-10K, under 2 % of a teacher pass). Non-timing fields are deterministic
-given the config, which is what the determinism acceptance check relies on.
+so it also builds the graph's cached float64 ``D^-1 A`` (about 0.3 ms at
+BA-10K, under 1 % of a teacher pass); each call casts only that operator's
+values to float32, sharing its index arrays. Non-timing fields are
+deterministic given the config, which is what the determinism acceptance
+check relies on.
 """
 
 from __future__ import annotations

@@ -165,14 +165,17 @@ def predict(g: Graph, params: GcnParams, x: np.ndarray) -> np.ndarray:
     Each layer runs in the cheaper order for its shape. Where it narrows it
     projects first, ``D^-1 A (h @ W_neigh)``, so the sparse product moves
     ``d_out`` columns, not ``d_in``; otherwise it aggregates first, as
-    :func:`forward` does. The float64 operator, features, weights and biases
-    are cast on each call. The logits differ from :func:`forward`'s by
-    float32 rounding, so a node whose two logits nearly tie may land on the
-    other side.
+    :func:`forward` does. The features, weights, biases and the values of
+    the cached float64 operator are cast on each call; the float32 operator
+    shares that operator's index arrays. The logits differ from
+    :func:`forward`'s by float32 rounding, so a node whose two logits nearly
+    tie may land on the other side.
     """
     _check_features(g, params, x)
     f32 = np.float32
-    mean_adj = g.mean_adjacency_csr().astype(f32)
+    adj64 = g.mean_adjacency_csr()
+    mean_adj = type(adj64)((adj64.data.astype(f32), adj64.indices, adj64.indptr),
+                           shape=adj64.shape)
     h = np.asarray(x, dtype=f32)
     last = params.n_layers - 1
     for k in range(params.n_layers):

@@ -270,124 +270,69 @@ class _BadRow(Exception):
     wrong (else a token is not an integer)."""
 
 
-_NEWLINE, _SPACE, _HASH, _PLUS, _MINUS, _UNDERSCORE, _ZERO = b"\n #+-_0"
-# A token of at most this many characters fits in an int64.
-_SHORT_TOKEN = 18
+def _plain_rows(text: str, width: int):
+    """The rows of ``text`` as an ``(rows, width)`` int64 array when it has
+    the plain layout, else None.
 
-
-def _ascii_image(text: str) -> bytes:
-    """One byte per character of ``text``, read as ``int()`` reads it.
-
-    ASCII stays as it is. Other whitespace becomes a space and other decimal
-    digits their ASCII digit; anything else becomes ``?``, which no integer
-    contains.
+    The plain layout, which every file the package writes has: leading
+    lines that start with ``#``, then rows of ``width`` tokens of 1 to 18
+    ASCII digits, the tokens of a row separated by one space or tab, each
+    row ending in LF except perhaps the last. An 18-digit token fits in an
+    int64. The checks are whole-buffer passes, and one ``np.fromstring``
+    reads the values.
     """
-    if text.isascii():
-        return text.encode("ascii")
-    table = {
-        ord(c): " " if c.isspace() else str(int(c)) if c.isdecimal() else "?"
-        for c in set(text) if not c.isascii()
-    }
-    return text.translate(table).encode("ascii")
-
-
-def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Every position of the spans ``[lo, hi)``, span by span."""
-    size = hi - lo
-    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start)
+        start = len(text) if end < 0 else end + 1
+    body = text[start:-1] if text.endswith("\n") else text[start:]
+    if not body.isascii():
+        return None
+    data = body.encode("ascii")
+    if data.translate(None, b"0123456789 \t\n"):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero(b < ord("0"))  # space, tab or LF
+    sizes = np.diff(seps, prepend=-1, append=len(b)) - 1
+    if len(sizes) % width or sizes.min() < 1 or sizes.max() > 18:
+        return None
+    row_end = np.append(b[seps] == ord("\n"), True).reshape(-1, width)
+    if row_end[:, :-1].any() or not row_end[:, -1].all():
+        return None
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, width)
 
 
 def _read_int_rows(path, width: int) -> np.ndarray:
-    """Parse a text file of integers, ``width`` of them on each data line.
+    """Parse a text file of integers, ``width`` of them on each data line,
+    in the format of :func:`load_edge_list`.
 
-    The format is that of :func:`load_edge_list`: whitespace-separated
-    tokens, blank lines and lines whose first token starts with ``#``
-    skipped, LF and CRLF line ends. A token is an integer exactly when
-    ``int()`` accepts it. Returns an ``(rows, width)`` int64 array, or an
-    object array of Python ints when a value does not fit in int64. Raises
-    :class:`_BadRow` for the first data line with a wrong token count or a
-    non-integer token.
-
-    Only the bytes of a token that are not ASCII digits get the check of
-    ``int()``'s grammar (a sign at the start, an underscore between two
-    digits), so a file of plain digits skips it. ``np.fromstring`` then
-    reads the values, with the comment lines blanked: it reads a sign and
-    ASCII digits, which is what every integer token is in
-    :func:`_ascii_image`, except a token with an underscore or more than
-    ``_SHORT_TOKEN`` characters. Those are blanked to ``0`` and read by
-    ``int()``.
+    Returns an ``(rows, width)`` int64 array, or an object array of Python
+    ints when a value does not fit in int64. Raises :class:`_BadRow` for the
+    first data line with a wrong token count or a non-integer token. A file
+    in the plain layout of :func:`_plain_rows` is read in one numpy pass,
+    any other file line by line with ``str.split()`` and ``int()``.
     """
     with open(path) as fh:  # universal newlines: CRLF and CR arrive as LF
         text = fh.read()
-    b = np.frombuffer(bytearray(_ascii_image(text)), dtype=np.uint8)
-    # The ASCII whitespace of str.split(): \t \n \v \f \r, \x1c-\x1f, space.
-    # np.fromstring skips all of it but \x1c-\x1f.
-    odd_space = (b - np.uint8(28)) < 4
-    word = ~((b == _SPACE) | ((b - np.uint8(9)) < 5) | odd_space)
-    # The changes of the word mask alternate between token starts and ends.
-    bounds = np.flatnonzero(np.diff(word, prepend=False, append=False))
-    starts, ends = bounds[::2], bounds[1::2]
-    newlines = np.flatnonzero(b == _NEWLINE)
-    # A token heads its line when a newline lies between it and the token
-    # before it; a one-byte gap is that byte, and only longer gaps are
-    # looked up among the newlines.
-    head = np.ones(len(starts), dtype=bool)
-    gap_end = starts[1:]
-    head[1:] = b[gap_end - 1] == _NEWLINE
-    wide = np.flatnonzero(gap_end - ends[:-1] > 1)
-    if wide.size:
-        found = np.searchsorted(newlines, [ends[wide], gap_end[wide]])
-        head[wide + 1] = found[0] < found[1]
-    comment = b[starts[head]] == _HASH
-    if comment.any():
-        drop = comment[np.cumsum(head) - 1]
-        b[_spans(starts[drop], ends[drop])] = _SPACE
-        keep = ~drop
-        starts, ends, head = starts[keep], ends[keep], head[keep]
-
-    heads = np.flatnonzero(head)
-    bad_count = heads[np.diff(heads, append=len(starts)) != width]
-    # A token is an integer iff each character is a digit, an underscore
-    # between two digits, or a sign at its start followed by a digit. A
-    # token's neighbour bytes are whitespace, so a digit next to a character
-    # is in its token.
-    odd = np.flatnonzero(word & ((b - np.uint8(_ZERO)) >= 10))
-    owner = np.searchsorted(starts, odd, side="right") - 1
-    inside = owner >= 0
-    inside[inside] = odd[inside] < ends[owner[inside]]
-    odd, owner = odd[inside], owner[inside]
-    last = len(b) - 1
-    before = (odd > 0) & ((b[odd - 1] - np.uint8(_ZERO)) < 10)
-    after = (odd < last) & ((b[np.minimum(odd + 1, last)] - np.uint8(_ZERO)) < 10)
-    underscore = b[odd] == _UNDERSCORE
-    sign = ((b[odd] == _PLUS) | (b[odd] == _MINUS)) & (odd == starts[owner])
-    bad_token = owner[~(after & (sign | underscore & before))]
-    if bad_count.size or bad_token.size:
-        # line numbers, counted from 0, only grow with the token index
-        first_token = min(bad_count.min(initial=len(starts)), bad_token.min(initial=len(starts)))
-        first = int(np.searchsorted(newlines, starts[first_token]))
-        wrong_count = np.searchsorted(newlines, starts[bad_count]) == first
-        lo = newlines[first - 1] + 1 if first else 0
-        hi = newlines[first] if first < len(newlines) else len(text)
-        raise _BadRow(first + 1, text[lo:hi].strip(), bool(wrong_count.any()))
-
-    if not len(starts):  # np.fromstring reads a blank text as one 0
-        return np.zeros((0, width), dtype=np.int64)
-    if odd_space.any():
-        b[odd_space] = _SPACE
-    exact = np.flatnonzero(ends - starts > _SHORT_TOKEN)
-    if underscore.any():
-        exact = np.union1d(exact, owner[underscore])
-    if exact.size:
-        b[_spans(starts[exact] + 1, ends[exact])] = _SPACE
-        b[starts[exact]] = _ZERO
-    values = np.fromstring(b.tobytes(), dtype=np.int64, sep=" ")
-    if exact.size:
-        big = [int(text[s:e]) for s, e in zip(starts[exact].tolist(), ends[exact].tolist())]
-        if not all(-(2**63) <= v < 2**63 for v in big):
-            values = values.astype(object)
-        values[exact] = big
-    return values.reshape(-1, width)
+    rows = _plain_rows(text, width)
+    if rows is not None:
+        return rows
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != width:
+            raise _BadRow(lineno, line.strip(), True)
+        try:
+            values += map(int, tokens)
+        except ValueError:
+            raise _BadRow(lineno, line.strip(), False) from None
+    try:
+        rows = np.array(values, dtype=np.int64)
+    except OverflowError:
+        rows = np.array(values, dtype=object)
+    return rows.reshape(-1, width)
 
 
 def _number_by_first_appearance(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -442,11 +387,12 @@ def load_edge_list(path) -> EdgeListResult:
     :class:`EdgeListParseError` naming the first one (``line N``, counted
     from 1); a file without any edge line raises :class:`EmptyGraphError`.
 
-    The work is a few whole-file numpy passes: :func:`_read_int_rows` checks
-    the tokens and reads the values, :func:`_number_by_first_appearance`
-    numbers the ids (by a table when they are dense, as in every file
-    ``dump_edge_list`` writes), and one sort of both directions' edge keys
-    yields the neighbour lists, a repeated edge showing as equal keys.
+    A file in the layout every writer of the package uses (``#`` lines
+    first, then one ``u v`` row per line, see :func:`_plain_rows`) is read
+    by one ``np.fromstring`` pass, any other file line by line.
+    :func:`_number_by_first_appearance` numbers the ids, and one sort of
+    both directions' edge keys yields the neighbour lists, a repeated edge
+    showing as equal keys.
     """
     try:
         rows = _read_int_rows(path, 2)

@@ -3,8 +3,8 @@
 The bitmask solvers enumerate all 2^n node subsets, so they are only usable
 for tiny graphs (n <= ~16). They share no code with the package's solvers.
 ``brute_edge_list`` is the line-by-line edge-list parser, and ``brute_csr``
-builds neighbour lists with a lexsort; they check the vectorized loader and
-``Graph``. ``restart_scan_local_search_mis`` is the (1,2)-swap local search
+builds neighbour lists with a lexsort; they check the loader, its numpy
+pass over plain files and its line loop over any other, and ``Graph``. ``restart_scan_local_search_mis`` is the (1,2)-swap local search
 that rescans the whole solution after every swap; it checks the worklist
 version in the package. ``degree_order_start`` is the start both versions
 make, written independently of the package's. ``drop_sweep_local_search_mvc``

@@ -317,6 +317,7 @@ class TestPruneAndSolve:
 
     @pytest.mark.parametrize("body, message", [
         (b"# good nodes: 2\n1\n2 3\n", "line 3: expected a node id, got '2 3'"),
+        (b"# good nodes: 2\n+1\n2 3\n", "line 3: expected a node id, got '2 3'"),
         (b"1\r\n\r\n x1 \r\n", "line 3: expected a node id, got 'x1'"),
         (b"4 # note\n", "line 1: expected a node id, got '4 # note'"),
         (b"# nothing\n\n", "no candidate ids"),
@@ -376,14 +377,16 @@ class TestPruneAndSolve:
         plain.write_bytes(b"# good nodes: 4\n3\n7\n12\n40\n")
         dirty = workdir / "dirty.txt"
         dirty.write_bytes(b"\t+3\r\n\r\n  # c\r\n007 \r\n1_2\r\n40")
+        signed = workdir / "signed.txt"  # one token outside the plain layout
+        signed.write_bytes(b"# good nodes: 4\n+3\n7\n12\n40\n")
         outputs = []
-        for cand in (plain, dirty):
+        for cand in (plain, dirty, signed):
             capsys.readouterr()
             assert run("solve", "--graph", str(g), "--problem", "mis",
                        "--solver", "greedy", "--candidates", str(cand)) == 0
             head, *ids = capsys.readouterr().out.splitlines()
             outputs.append((head.split()[:3], ids))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert set(outputs[0][1]) <= {"3", "7", "12", "40"}
 
 

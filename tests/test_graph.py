@@ -15,7 +15,9 @@ from prunesolve.graph import (
     generate_ba,
     load_edge_list,
     make_rng,
+    _plain_rows,
 )
+from prunesolve.cli import _write_good_nodes
 
 
 class TestGraphStructure:
@@ -236,6 +238,27 @@ class TestEdgeListIo:
         assert back.n == g.n and back.m == g.m
         assert sorted(back.degrees()) == sorted(g.degrees())
 
+    def test_every_writer_uses_the_plain_layout(self, tmp_path):
+        # the files the package and its benchmark write take the reader's
+        # one-pass path, not its line loop
+        g = generate_ba(300, 3, seed=4)
+        edges = g.edge_array()
+        dump = tmp_path / "dump.txt"
+        dump_edge_list(g, dump)
+        good = tmp_path / "good.txt"
+        _write_good_nodes(NodeSet.from_ids([12, 3, 40], 60), good)
+        bench = tmp_path / "bench.txt"  # perfbench/inputs.write_edge_list
+        bench.write_text("\n".join(f"{u} {v}" for u, v in edges.tolist()) + "\n")
+        dirty = tmp_path / "dirty.txt"  # a SNAP-style copy
+        dirty.write_bytes(b"# dirty copy\r\n# n m\r\n"
+                          + "".join(f"{u}\t{v}\r\n" for u, v in edges).encode("ascii"))
+        for path, width, rows in [(dump, 2, edges), (good, 1, [[3], [12], [40]]),
+                                  (bench, 2, edges), (dirty, 2, edges)]:
+            with open(path) as fh:
+                got = _plain_rows(fh.read(), width)
+            assert got is not None, path.name
+            assert np.array_equal(got, rows)
+
 
 def _dirty_edge_lines(rng, dense=False) -> list[str]:
     """Lines of a random edge list in the layouts the loader accepts: sparse
@@ -311,7 +334,7 @@ def _assert_same_as_line_parser(path):
 
 
 class TestEdgeListDifferential:
-    """The vectorized loader against the line-by-line reference parser."""
+    """The loader, by both of its paths, against the line-by-line reference parser."""
 
     @pytest.mark.parametrize("seed", range(200))
     def test_matches_line_parser(self, tmp_path, seed):
@@ -345,6 +368,9 @@ class TestEdgeListDifferential:
         "0 1 # note\n",
         "0 1\n1 2\n3 4 5",
         "# 1 2\n  \t\n12 x3\n",
+        "# a\n# b\n",
+        "0 \n1 2\n",
+        "0\n1\n",
     ])
     def test_malformed_same_error(self, tmp_path, body):
         path = tmp_path / "bad.txt"
@@ -378,10 +404,19 @@ class TestEdgeListDifferential:
         "0 1\n1 2\n2 3_\n",
         "0 1\n+1 +2_2\n22 -0\n",
         "9223372036854775807 9223372036854775808\n0 -9223372036854775809\n",
+        "0 123456789012345678\n123456789012345678 1\n",
+        "0 1234567890123456789\n1234567890123456789 1\n",
+        "9223372036854775807 9223372036854775808\n",
+        "0  1\n1 2\n",
+        "0 1 \n1 2\n",
+        "0 1\n1 2\n\n",
+        "0 1\n# c\n1 2\n",
+        "0 1\n1 2",
+        "# h\r\n0\t1\r\n1 2\r\n",
     ])
     def test_unusual_bodies_match_line_parser(self, tmp_path, body):
-        # separators, line breaks and digits outside ASCII, and tokens that
-        # np.fromstring cannot read, mixed into otherwise plain files
+        # separators, line breaks and digits outside ASCII, tokens that
+        # np.fromstring cannot read, and the edges of the plain layout
         path = tmp_path / "unusual.txt"
         path.write_bytes(body.encode("utf-8"))
         _assert_same_as_line_parser(path)
