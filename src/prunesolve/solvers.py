@@ -222,12 +222,24 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     the full-space run on the subgraph they induce, mapped back to ``g``'s
     ids (:func:`_induced` keeps their order, so ties break alike). The
     result is independent with respect to the full edge set and, in
-    full-space mode, maximal. The min-heap holds plain ints, ``r * n + v``
-    for residual degree r, which order as (r, v), and every drop from the
-    pool pushes a new key for each pool neighbor. Residual degrees only
-    fall, so a node's newest entry pops before its older ones, and the node
-    leaves the pool at that pop or has already left it: an entry is skipped
-    exactly when its node is out of the pool.
+    full-space mode, maximal. The loop runs while a count of the pool's
+    nodes is positive, so no entry left after the last pick is popped.
+
+    The min-heap holds plain ints, ``r * n + v`` for residual degree r,
+    which order as (r, v), but only for nodes at or below a frontier degree
+    ``top``. A residual-degree drop pushes a new key only when the new
+    degree is at most ``top``. When the heap runs dry while the pool is not
+    empty, ``top`` rises to ``max(2 * top, lowest residual degree in the
+    pool)`` and every pool node at or below it is pushed; ``top`` starts at
+    0, so the first refill heaps the nodes of minimum degree, and doubling
+    keeps the number of refills logarithmic in the maximum degree. So every
+    pool node at or below ``top`` has an entry at its current degree, and
+    every other pool node's key exceeds all of those: the smallest entry of
+    a pool node is the pool's (r, id) minimum, the pick a heap holding every
+    node would make. Residual degrees only fall, so a node's newest entry
+    pops before its older ones, and the node leaves the pool at that pop or
+    has already left it: an entry is skipped exactly when its node is out of
+    the pool.
     """
     cand = cand or Candidates.all()
     t0 = time.perf_counter()
@@ -235,11 +247,19 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     n = sub.n
     adj = sub.neighbor_lists()
     pool = bytearray(b"\x01") * n
+    live = np.frombuffer(pool, dtype=bool)
     in_set = bytearray(n)
     resid = sub.degrees().tolist()
-    heap = [r * n + v for v, r in enumerate(resid)]
-    heapq.heapify(heap)
-    while heap:
+    left = n
+    top = 0
+    heap = []
+    while left:
+        if not heap:
+            now = np.array(resid, dtype=np.int64)
+            top = max(2 * top, int(now[live].min()))
+            low = np.flatnonzero(live & (now <= top))
+            heap = (now[low] * n + low).tolist()
+            heapq.heapify(heap)
         v = heapq.heappop(heap) % n
         if not pool[v]:
             continue
@@ -247,11 +267,14 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
         removed = [v] + [u for u in adj[v] if pool[u]]
         for r in removed:
             pool[r] = 0
+        left -= len(removed)
         for r in removed:
             for u in adj[r]:
                 if pool[u]:
-                    resid[u] -= 1
-                    heapq.heappush(heap, resid[u] * n + u)
+                    d = resid[u] - 1
+                    resid[u] = d
+                    if d <= top:
+                        heapq.heappush(heap, d * n + u)
     taken = np.frombuffer(in_set, dtype=bool)
     if ids is not None:
         mask = np.zeros(g.n, dtype=bool)

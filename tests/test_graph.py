@@ -299,6 +299,20 @@ def _dirty_edge_lines(rng, dense=False) -> list[str]:
     return lines
 
 
+def _plain_edge_lines(rng, dense=False) -> list[str]:
+    """Lines of a random edge list in the plain layout the loader reads in
+    one pass: a few comment lines, then one row per edge of two non-negative
+    ids separated by one space or tab, self-loops and repeats included.
+    With ``dense`` the ids are ``0..k-1``."""
+    k = int(rng.integers(2, 30))
+    pool = np.arange(k) if dense else rng.integers(0, 10**9, size=k)
+    head = [str(rng.choice(["#", "# comment 1 2", "#\tx"]))
+            for _ in range(int(rng.integers(0, 3)))]
+    rows = rng.choice(pool, size=(int(rng.integers(1, 60)), 2)).tolist()
+    seps = rng.choice([" ", "\t"], size=len(rows))
+    return head + [f"{u}{sep}{v}" for (u, v), sep in zip(rows, seps)]
+
+
 def _write_lines(path, lines, rng):
     crlf = rng.random() < 0.5
     ends = [("\r\n" if (crlf if rng.random() < 0.9 else not crlf) else "\n")
@@ -315,6 +329,11 @@ def _error(load, path):
     except (EdgeListParseError, EmptyGraphError) as e:
         return type(e), str(e)
     return None
+
+
+def _assert_plain(path):
+    with open(path) as fh:
+        assert _plain_rows(fh.read(), 2) is not None
 
 
 def _assert_same_as_line_parser(path):
@@ -338,25 +357,20 @@ class TestEdgeListDifferential:
 
     @pytest.mark.parametrize("seed", range(200))
     def test_matches_line_parser(self, tmp_path, seed):
+        # every third file has the plain layout, so both paths are checked
         rng = np.random.default_rng(seed)
-        lines = _dirty_edge_lines(rng)
-        if seed % 4 == 3:  # malformed: one bad line somewhere
+        plain = seed % 3 == 0
+        lines = _plain_edge_lines(rng) if plain else _dirty_edge_lines(rng)
+        malformed = seed % 4 == 3
+        if malformed:  # one bad line somewhere
             bad = rng.choice(["7", "1 2 3", "1 x", "0 1 # note", "1.5 2", "_1 2",
                               "0x1 2", "1 2 3 4", "1__0 2"])
             lines.insert(int(rng.integers(0, len(lines) + 1)), str(bad))
         path = tmp_path / f"dirty{seed}.txt"
         _write_lines(path, lines, rng)
-        expected_error = _error(brute_edge_list, path)
-        if expected_error:
-            assert _error(load_edge_list, path) == expected_error
-            return
-        n, edges, loops, dups = brute_edge_list(path)
-        offsets, targets = brute_csr(n, edges)
-        got = load_edge_list(path)
-        assert got.graph.n == n
-        assert np.array_equal(got.graph.offsets, offsets)
-        assert np.array_equal(got.graph.targets, targets)
-        assert (got.dropped_self_loops, got.dropped_duplicates) == (loops, dups)
+        if plain and not malformed:
+            _assert_plain(path)
+        _assert_same_as_line_parser(path)
 
     @pytest.mark.parametrize("body", [
         "",
@@ -382,10 +396,15 @@ class TestEdgeListDifferential:
     @pytest.mark.parametrize("seed", range(60))
     def test_dense_ids_match_line_parser(self, tmp_path, seed):
         # ids 0..k-1 (the layout every file dump_edge_list writes) take the
-        # loader's table numbering, not its sort
+        # loader's table numbering, not its sort; every third file has the
+        # plain layout
         rng = np.random.default_rng(1000 + seed)
         path = tmp_path / f"dense{seed}.txt"
-        _write_lines(path, _dirty_edge_lines(rng, dense=True), rng)
+        plain = seed % 3 == 0
+        lines = (_plain_edge_lines if plain else _dirty_edge_lines)(rng, dense=True)
+        _write_lines(path, lines, rng)
+        if plain:
+            _assert_plain(path)
         _assert_same_as_line_parser(path)
 
     @pytest.mark.parametrize("body", [

@@ -214,6 +214,16 @@ def greedy_reference_graphs():
         yield f"{'gnm' if i % 2 else 'ba'} #{i}", g
 
 
+def clique_ladder(k, isolated, seed):
+    """Cliques K1, ..., Kk and ``isolated`` more nodes, ids shuffled."""
+    starts = np.cumsum([0, *range(1, k + 1)])
+    edges = [(a + i, a + j) for a, b in zip(starts, starts[1:])
+             for i in range(b - a) for j in range(i + 1, b - a)]
+    n = int(starts[-1]) + isolated
+    perm = np.random.default_rng(seed).permutation(n)
+    return Graph(n, perm[np.array(edges)])
+
+
 def greedy_reference_spaces(g, rng):
     """Full space, then empty, full, single-node and random candidate sets."""
     yield Candidates.all()
@@ -240,6 +250,22 @@ class TestGreedyMatchesHeapReference:
                 assert got.restricted == want.restricted
                 cases += 1
         assert cases == 6 * 7 - 1 + 240 * 7
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate_ba(20000, 4, 1), lambda: clique_ladder(40, 5, 3),
+    ], ids=["ba-20k", "clique ladder"])
+    def test_same_mis_sets_where_the_frontier_rises(self, build):
+        # BA-20K holds most of its nodes above the frontier; on the ladder
+        # the pool's lowest residual degree rises by one per pick, so the
+        # frontier is raised several times
+        g = build()
+        rng = np.random.default_rng(17)
+        some = Candidates.from_ids(np.flatnonzero(rng.random(g.n) < 0.4), g.n)
+        for cand in (Candidates.all(), some):
+            got = greedy_mis(g, cand)
+            want = heap_greedy_mis(g, cand)
+            assert got.nodes == want.nodes, cand.good
+            assert got.restricted == want.restricted
 
 
 class TestLocalSearchMvc:
