@@ -165,9 +165,12 @@ def predict(g: Graph, params: GcnParams, x: np.ndarray) -> np.ndarray:
     Each layer runs in the cheaper order for its shape. Where it narrows it
     projects first, ``D^-1 A (h @ W_neigh)``, so the sparse product moves
     ``d_out`` columns, not ``d_in``; otherwise it aggregates first, as
-    :func:`forward` does. The features, weights, biases and the values of
-    the cached float64 operator are cast on each call; the float32 operator
-    shares that operator's index arrays. The logits differ from
+    :func:`forward` does. A layer with one input feature makes its
+    ``(n, 1) @ (1, d)`` products as broadcast multiplies: each entry is one
+    rounded product either way, so the logits keep their bits. The
+    features, weights, biases and the values of the cached float64 operator
+    are cast on each call; the float32 operator shares that operator's index
+    arrays. The logits differ from
     :func:`forward`'s by float32 rounding, so a node whose two logits nearly
     tie may land on the other side.
     """
@@ -181,11 +184,14 @@ def predict(g: Graph, params: GcnParams, x: np.ndarray) -> np.ndarray:
     for k in range(params.n_layers):
         w_neigh = params.w_neigh[k].astype(f32)
         d_in, d_out = w_neigh.shape
+        # with one input feature each product entry is a single multiply,
+        # which a broadcast makes without a matmul's overhead
+        mul = np.multiply if d_in == 1 else np.matmul
         if d_out < d_in:
             z = mean_adj @ (h @ w_neigh)
         else:
-            z = (mean_adj @ h) @ w_neigh
-        z += h @ params.w_self[k].astype(f32)
+            z = mul(mean_adj @ h, w_neigh)
+        z += mul(h, params.w_self[k].astype(f32))
         z += params.bias[k].astype(f32)
         if k < last:
             np.maximum(z, 0.0, out=z)

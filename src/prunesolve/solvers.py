@@ -154,12 +154,27 @@ def _induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
     """Subgraph induced by ``mask`` and the ids of its nodes in ``g``.
 
     Nodes keep their ascending order, so lowest-id ties break alike in both.
+    The edges are gathered from the adjacency rows of the masked nodes
+    alone, so the cost is the sum of their degrees, not ``g``'s edge count.
+    Those rows already hold both directions of every induced edge, in
+    ascending (source, target) order. When the mask holds every node, the
+    subgraph is ``g`` itself.
     """
     ids = np.flatnonzero(mask)
+    if len(ids) == g.n:
+        return g, ids
     new = np.full(g.n, -1, dtype=np.int64)
     new[ids] = np.arange(len(ids))
-    e = g.edge_array()
-    return Graph(len(ids), new[e[mask[e[:, 0]] & mask[e[:, 1]]]]), ids
+    starts = g.offsets[ids]
+    deg = g.offsets[ids + 1] - starts
+    # the position in g.targets of each entry of the masked rows
+    pos = np.arange(int(deg.sum())) + np.repeat(starts - (np.cumsum(deg) - deg), deg)
+    dst = new[g.targets[pos]]
+    inside = dst >= 0
+    src = np.repeat(np.arange(len(ids)), deg)[inside]
+    sub = Graph.__new__(Graph)
+    sub._build(len(ids), src * len(ids) + dst[inside])
+    return sub, ids
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +237,12 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     the full-space run on the subgraph they induce, mapped back to ``g``'s
     ids (:func:`_induced` keeps their order, so ties break alike). The
     result is independent with respect to the full edge set and, in
-    full-space mode, maximal. The loop runs while a count of the pool's
-    nodes is positive, so no entry left after the last pick is popped.
+    full-space mode, maximal. A node of degree 0 in ``sub`` is picked
+    whatever else is picked, and picking it changes no other node's
+    residual degree, so one numpy pass takes every such node before the
+    loop, and the set stays the same; most candidates of a pruned instance
+    are such lone nodes. The loop runs while a count of the pool's nodes is
+    positive, so no entry left after the last pick is popped.
 
     The min-heap holds plain ints, ``r * n + v`` for residual degree r,
     which order as (r, v), but only for nodes at or below a frontier degree
@@ -246,11 +265,13 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     sub, ids = (g, None) if cand.is_all else _induced(g, cand.mask_for(g))
     n = sub.n
     adj = sub.neighbor_lists()
-    pool = bytearray(b"\x01") * n
+    deg = sub.degrees()
+    lone = deg == 0
+    in_set = bytearray(lone)
+    pool = bytearray(~lone)
     live = np.frombuffer(pool, dtype=bool)
-    in_set = bytearray(n)
-    resid = sub.degrees().tolist()
-    left = n
+    resid = deg.tolist()
+    left = n - int(np.count_nonzero(lone))
     top = 0
     heap = []
     while left:
@@ -298,7 +319,9 @@ def _swap_search(g: Graph, good: np.ndarray) -> np.ndarray:
     ``good`` nodes, as a mask.
 
     The start takes each good node by ascending degree, ties to the lower
-    id, unless a neighbor is taken already; then (1,2)-swaps run until none
+    id, unless a neighbor is taken already. A good node with no good
+    neighbor is always taken and knocks out nothing, so only the good nodes
+    with one are sorted and visited; then (1,2)-swaps run until none
     applies. A swap replaces a solution node v by two of its non-adjacent
     one-tight neighbors (nodes whose single solution neighbor is v): the
     first such pair in adjacency order. First improvement over a min-heap
@@ -315,8 +338,10 @@ def _swap_search(g: Graph, good: np.ndarray) -> np.ndarray:
     re-add.
     """
     in_s = good.copy()
-    order = np.argsort(g.degrees(), kind="stable")
-    for v in order[in_s[order]]:
+    # good nodes with a good neighbor; a stable sort of their degrees over
+    # ascending ids keeps the (degree, id) order
+    linked = np.flatnonzero(good & (g.count_in_mask(good) > 0))
+    for v in linked[np.argsort(g.degrees()[linked], kind="stable")].tolist():
         if in_s[v]:  # taken
             in_s[g.neighbors(v)] = False
 

@@ -22,6 +22,8 @@ they check the worklist search and its augmented matching bound.
 ``forest_mvc_size`` strips leaves to find a forest's minimum cover size.
 ``validate`` rechecks a ``Graph``'s structural invariants, symmetry by
 comparing the sorted (src, dst) keys with the (dst, src) keys.
+``edge_array_induced`` is the induced subgraph as it was, filtered from
+the whole graph's edge array; it checks the row gather in the package.
 """
 
 import functools
@@ -276,6 +278,17 @@ def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None) -> S
         runtime=time.perf_counter() - t0,
         restricted=not cand.is_all,
     )
+
+
+def edge_array_induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """Subgraph induced by ``mask``, always a new ``Graph``, and the ids of
+    its nodes in ``g``: the edges of ``g.edge_array()`` with both ends in
+    the mask, renumbered in ascending id order."""
+    ids = np.flatnonzero(mask)
+    new = np.full(g.n, -1, dtype=np.int64)
+    new[ids] = np.arange(len(ids))
+    e = g.edge_array()
+    return Graph(len(ids), new[e[mask[e[:, 0]] & mask[e[:, 1]]]]), ids
 
 
 def heap_greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:

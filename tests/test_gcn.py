@@ -23,7 +23,8 @@ from prunesolve.gcn import (
     softmax,
     supervised_loss,
 )
-from prunesolve.graph import Graph, make_rng
+from prunesolve.graph import Graph, generate_ba, make_rng
+from prunesolve.training import degree_features
 
 
 def zero_like(params):
@@ -162,6 +163,26 @@ class TestForward:
         assert set(np.round(ratio[h0 != 0], 9)) <= {0.0, 2.0}
 
 
+def matmul_predict(g, params, x):
+    """:func:`predict`'s float32 pass with every product a matmul, one-input
+    layers included: same order of operations per layer, same casts."""
+    f32 = np.float32
+    adj = g.mean_adjacency_csr()
+    mean_adj = type(adj)((adj.data.astype(f32), adj.indices, adj.indptr),
+                         shape=adj.shape)
+    h = np.asarray(x, dtype=f32)
+    for k in range(params.n_layers):
+        w_neigh = params.w_neigh[k].astype(f32)
+        d_in, d_out = w_neigh.shape
+        z = mean_adj @ (h @ w_neigh) if d_out < d_in else (mean_adj @ h) @ w_neigh
+        z += h @ params.w_self[k].astype(f32)
+        z += params.bias[k].astype(f32)
+        if k < params.n_layers - 1:
+            np.maximum(z, 0.0, out=z)
+        h = z
+    return h[:, 1] >= h[:, 0]
+
+
 class TestPredict:
     """The float32 pass against thresholded float64 :func:`forward`."""
 
@@ -192,6 +213,30 @@ class TestPredict:
             assert np.array_equal(good[clear], margin[clear] >= 0)
             compared += int(clear.sum())
         assert compared > 0.9 * sum(g.n for g in self.GRAPHS)
+
+    @pytest.mark.parametrize("dims", [
+        (1, 2), (1, 8, 2), (1, 32, 32, 2), (1, 128, 128, 128, 2),
+    ])
+    def test_one_input_layer_matches_matmul_pass(self, dims):
+        # a BA graph with 50 isolated nodes appended, ids shuffled, beside
+        # the small graphs; degree features and random ones
+        ba = generate_ba(3000, 4, 5)
+        perm = np.random.default_rng(7).permutation(ba.n + 50)
+        graphs = self.GRAPHS + [Graph(ba.n + 50, perm[ba.edge_array()])]
+        rng = np.random.default_rng(len(dims))
+        marked = total = 0
+        for seed in range(3):
+            params = init_params(dims, seed=seed)
+            for b in params.bias:
+                b[:] = rng.normal(scale=0.5, size=b.shape)
+            for g in graphs:
+                for x in (degree_features(g), rng.normal(size=(g.n, 1))):
+                    good = predict(g, params, x)
+                    assert np.array_equal(good, matmul_predict(g, params, x))
+                    marked += int(good.sum())
+                    total += g.n
+        # both classes occur, so the masks compared are not constant
+        assert 0 < marked < total, (marked, total)
 
     @pytest.mark.parametrize("g", GRAPHS[-2:], ids=["edgeless", "isolated"])
     def test_zero_params_mark_every_node_good(self, g):

@@ -8,6 +8,7 @@ import pytest
 from _brute import (
     degree_order_start,
     drop_sweep_local_search_mvc,
+    edge_array_induced,
     heap_greedy_mis,
     heap_greedy_mvc,
     restart_scan_local_search_mis,
@@ -19,6 +20,7 @@ from prunesolve.solvers import (
     MVC,
     Candidates,
     Solution,
+    _induced,
     coverage,
     exact_solve,
     format_solution,
@@ -266,6 +268,74 @@ class TestGreedyMatchesHeapReference:
             want = heap_greedy_mis(g, cand)
             assert got.nodes == want.nodes, cand.good
             assert got.restricted == want.restricted
+
+
+def lone_heavy_mask(g, rng):
+    """The lowest-degree 30% of the nodes (ties to the lower id) and a few
+    random ones: on a BA graph, most of them have no neighbor in the set."""
+    mask = np.zeros(g.n, dtype=bool)
+    mask[np.argsort(g.degrees(), kind="stable")[:3 * g.n // 10]] = True
+    mask[rng.integers(0, g.n, size=max(1, g.n // 100))] = True
+    return mask
+
+
+def lone_free_mask(g, rng):
+    """Both ends of a random 15% of the edges: every node of the set has a
+    neighbor in it."""
+    mask = np.zeros(g.n, dtype=bool)
+    e = g.edge_array()
+    mask[e[rng.random(len(e)) < 0.15].ravel()] = True
+    return mask
+
+
+class TestInduced:
+    def test_same_graph_as_edge_array_filter(self):
+        # empty, full, random, lone-heavy and lone-free masks on the greedy
+        # test's graphs, a third of them with shuffled ids and isolated nodes
+        rng = np.random.default_rng(29)
+        cases = lone = 0
+        for name, g in greedy_reference_graphs():
+            masks = [np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool),
+                     rng.random(g.n) < 0.5]
+            if g.n:
+                masks.append(lone_heavy_mask(g, rng))
+            if g.m:
+                masks.append(lone_free_mask(g, rng))
+            for mask in masks:
+                sub, ids = _induced(g, mask)
+                want, want_ids = edge_array_induced(g, mask)
+                assert sub.n == want.n and sub.m == want.m, name
+                assert np.array_equal(sub.offsets, want.offsets), name
+                assert np.array_equal(sub.targets, want.targets), name
+                assert np.array_equal(ids, want_ids), name
+                if mask.all():
+                    assert sub is g
+                lone += int(np.count_nonzero(sub.degrees() == 0))
+                cases += 1
+        assert cases > 5 * 200 and lone > 0
+
+
+class TestRestrictedLoneCandidates:
+    """Restricted greedy and local search against their references on
+    BA-2000 candidate sets made mostly of lone nodes, or of none."""
+
+    G = generate_ba(2000, 4, 6)
+
+    @pytest.mark.parametrize("make, lone_share", [
+        (lone_heavy_mask, (0.5, 1.0)), (lone_free_mask, (0.0, 0.0)),
+    ], ids=["mostly lone", "no lone"])
+    def test_same_sets_as_references(self, make, lone_share):
+        g = self.G
+        mask = make(g, np.random.default_rng(8))
+        share = np.count_nonzero(mask & (g.count_in_mask(mask) == 0)) / mask.sum()
+        assert lone_share[0] <= share <= lone_share[1], share
+        cand = Candidates.restrict(NodeSet(mask))
+        for solver, reference in ((greedy_mis, heap_greedy_mis),
+                                  (local_search_mis, restart_scan_local_search_mis)):
+            got = solver(g, cand)
+            want = reference(g, cand)
+            assert got.nodes == want.nodes, solver.__name__
+            assert got.restricted and want.restricted
 
 
 class TestLocalSearchMvc:
