@@ -60,7 +60,7 @@ for problem in ("mvc", "mis"):
 # sets simply live inside the candidates.
 ba = generate_ba(200, 3, seed=5)
 rng = np.random.default_rng(1)
-cand = Candidates.restrict(NodeSet(rng.random(ba.n) < 0.5))
+cand = Candidates(NodeSet(rng.random(ba.n) < 0.5))
 full = greedy_mvc(ba)
 part = greedy_mvc(ba, cand)
 print(f"\nBA-200 greedy MVC: full size {full.size} covers "

@@ -261,9 +261,9 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
                 infer_teacher_ms=infer_t, infer_student_ms=infer_s,
             )
             cands = {
-                "baseline": (Candidates.all(), 1.0),
-                "pruned_pt": (Candidates.restrict(good_t), good_t.size / tg.n),
-                "pruned": (Candidates.restrict(good_s), good_s.size / tg.n),
+                "baseline": (Candidates(), 1.0),
+                "pruned_pt": (Candidates(good_t), good_t.size / tg.n),
+                "pruned": (Candidates(good_s), good_s.size / tg.n),
             }
             for solver in cfg.solvers:
                 for variant in VARIANTS:

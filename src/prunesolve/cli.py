@@ -26,6 +26,7 @@ import sys
 from . import bench as bench_mod
 from . import gcn
 from .graph import (
+    NodeSet,
     _BadRow,
     _int_rows_text,
     _read_int_rows,
@@ -201,7 +202,7 @@ def _read_graph_and_labels(args):
 def _read_candidates(path, n: int) -> Candidates:
     """Read a good-node file: one node id per line, in the edge-list format."""
     if path == "all":
-        return Candidates.all()
+        return Candidates()
     try:
         ids = _read(lambda p: _read_int_rows(p, 1), path, "candidate")
     except _BadRow as e:
@@ -216,7 +217,7 @@ def _read_candidates(path, n: int) -> Candidates:
     if outside.any():
         raise UsageError(f"{path}: node id {ids[outside.argmax()]} is not in "
                          f"the {n}-node graph")
-    return Candidates.from_ids(ids, n)
+    return Candidates(NodeSet.from_ids(ids, n))
 
 
 def _write_good_nodes(nodes, path) -> None:

@@ -5,6 +5,12 @@ the full search space (all nodes) or a restricted space where only a given
 "good node" subset may enter the solution. Restricted vertex covers may
 legitimately leave some edges uncovered; the coverage metric quantifies that.
 
+Greedy MIS, both local searches and exact MIS restrict a solve one way: the
+full-space algorithm runs on the subgraph the candidates induce (for local
+search MVC, those whose neighbors are all candidates), and :func:`_lift`
+maps its set back. Greedy and exact MVC keep a mask over the whole graph
+instead, because they must cover edges that leave the candidates.
+
 All solvers are deterministic given (graph, candidates), and ties are
 always broken toward the lowest node id. One (1,2)-swap local search serves
 both problems: a vertex cover is the candidates minus an independent set.
@@ -38,18 +44,6 @@ class Candidates:
     """Search space for a solver: either every node or a fixed good-node set."""
 
     good: NodeSet | None = None
-
-    @classmethod
-    def all(cls) -> "Candidates":
-        return cls(None)
-
-    @classmethod
-    def restrict(cls, nodes: NodeSet) -> "Candidates":
-        return cls(nodes)
-
-    @classmethod
-    def from_ids(cls, ids, n: int) -> "Candidates":
-        return cls(NodeSet.from_ids(ids, n))
 
     @property
     def is_all(self) -> bool:
@@ -177,6 +171,16 @@ def _induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
     return sub, ids
 
 
+def _lift(mask: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """A mask over :func:`_induced`'s subgraph as one over the ``n`` nodes
+    that ``ids`` index; an all-node subgraph's mask is returned as is."""
+    if len(ids) == n:
+        return mask
+    out = np.zeros(n, dtype=bool)
+    out[ids[mask]] = True
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Greedy
 
@@ -194,7 +198,7 @@ def greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
     is the pick that a heap re-pushed on every decrement would make. A stale
     entry is pushed back once at its true residual degree, or dropped at 0.
     """
-    cand = cand or Candidates.all()
+    cand = cand or Candidates()
     t0 = time.perf_counter()
     n = g.n
     adj = g.neighbor_lists()
@@ -235,7 +239,7 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     Residual degree counts neighbors still in the pool. The pool starts as
     the candidate set, so a restricted run only ever sees candidates and is
     the full-space run on the subgraph they induce, mapped back to ``g``'s
-    ids (:func:`_induced` keeps their order, so ties break alike). The
+    nodes (:func:`_induced` keeps their order, so ties break alike). The
     result is independent with respect to the full edge set and, in
     full-space mode, maximal. A node of degree 0 in ``sub`` is picked
     whatever else is picked, and picking it changes no other node's
@@ -260,9 +264,9 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     has already left it: an entry is skipped exactly when its node is out of
     the pool.
     """
-    cand = cand or Candidates.all()
+    cand = cand or Candidates()
     t0 = time.perf_counter()
-    sub, ids = (g, None) if cand.is_all else _induced(g, cand.mask_for(g))
+    sub, ids = _induced(g, cand.mask_for(g))
     n = sub.n
     adj = sub.neighbor_lists()
     deg = sub.degrees()
@@ -296,14 +300,9 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
                     resid[u] = d
                     if d <= top:
                         heapq.heappush(heap, d * n + u)
-    taken = np.frombuffer(in_set, dtype=bool)
-    if ids is not None:
-        mask = np.zeros(g.n, dtype=bool)
-        mask[ids[taken]] = True
-        taken = mask
     return Solution(
         problem=MIS,
-        nodes=NodeSet(taken),
+        nodes=NodeSet(_lift(np.frombuffer(in_set, dtype=bool), ids, g.n)),
         algorithm="greedy",
         runtime=time.perf_counter() - t0,
         restricted=not cand.is_all,
@@ -314,42 +313,40 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
 # Local search
 
 
-def _swap_search(g: Graph, good: np.ndarray) -> np.ndarray:
+def _swap_search(g: Graph, deg: np.ndarray) -> np.ndarray:
     """The one local search behind both problems: an independent set of
-    ``good`` nodes, as a mask.
+    ``g``, as a mask.
 
-    The start takes each good node by ascending degree, ties to the lower
-    id, unless a neighbor is taken already. A good node with no good
-    neighbor is always taken and knocks out nothing, so only the good nodes
-    with one are sorted and visited; then (1,2)-swaps run until none
-    applies. A swap replaces a solution node v by two of its non-adjacent
-    one-tight neighbors (nodes whose single solution neighbor is v): the
-    first such pair in adjacency order. First improvement over a min-heap
-    worklist of "dirty" solution nodes; every solution node off the worklist
-    has no swap. The smallest dirty node is popped and either swaps or
-    becomes clean, so each swap is made at the smallest solution node that
-    has one, and the result equals that of an ascending scan restarted after
-    every swap. Only N(v) loses tightness in a swap, so only N(v) can hold
-    freed nodes; they are re-added (ascending), so the result is maximal
-    among the good nodes. A solution node's swaps depend only on which of
-    its neighbors are one-tight good nodes, so a swap dirties the nodes it
-    adds and the solution neighbors of every node whose one-tight status
-    changed. Only good nodes enter, whether at the start, by swap or by
-    re-add.
+    The start takes each node by ascending ``deg``, ties to the lower id,
+    unless a neighbor is taken already. A restricted solve runs this on
+    :func:`_induced`'s subgraph and passes the nodes' degrees in the whole
+    graph, so the start keeps that graph's order. A node with no neighbor is
+    always taken and knocks out nothing, so only the nodes with one are
+    sorted and visited; then (1,2)-swaps run until none applies. A swap
+    replaces a solution node v by two of its non-adjacent one-tight
+    neighbors (nodes whose single solution neighbor is v): the first such
+    pair in adjacency order. First improvement over a min-heap worklist of
+    "dirty" solution nodes; every solution node off the worklist has no
+    swap. The smallest dirty node is popped and either swaps or becomes
+    clean, so each swap is made at the smallest solution node that has one,
+    and the result equals that of an ascending scan restarted after every
+    swap. Only N(v) loses tightness in a swap, so only N(v) can hold freed
+    nodes; they are re-added (ascending), so the result is maximal. A
+    solution node's swaps depend only on which of its neighbors are
+    one-tight, so a swap dirties the nodes it adds and the solution
+    neighbors of every node whose one-tight status changed.
     """
-    in_s = good.copy()
-    # good nodes with a good neighbor; a stable sort of their degrees over
-    # ascending ids keeps the (degree, id) order
-    linked = np.flatnonzero(good & (g.count_in_mask(good) > 0))
-    for v in linked[np.argsort(g.degrees()[linked], kind="stable")].tolist():
+    in_s = np.ones(g.n, dtype=bool)
+    # nodes with a neighbor; a stable sort of their deg over ascending ids
+    # keeps the (deg, id) order
+    linked = np.flatnonzero(g.degrees() > 0)
+    for v in linked[np.argsort(deg[linked], kind="stable")].tolist():
         if in_s[v]:  # taken
             in_s[g.neighbors(v)] = False
 
-    # tightness and swap-candidate counts are only ever read at good nodes,
-    # and only kept up to date there
     tight = g.count_in_mask(in_s)
-    # one-tight good nodes that could swap in
-    swap_in = good & ~in_s & (tight == 1)
+    # one-tight nodes that could swap in
+    swap_in = ~in_s & (tight == 1)
     # a swap needs two such neighbors, so every other solution node starts
     # clean; an ascending list is already a heap
     heap = np.flatnonzero(in_s & (g.count_in_mask(swap_in) >= 2)).tolist()
@@ -374,25 +371,25 @@ def _swap_search(g: Graph, good: np.ndarray) -> np.ndarray:
         in_s[v] = False
         in_s[i] = True
         in_s[j] = True
-        tight[nv[good[nv]]] -= 1
+        tight[nv] -= 1
         added = [i, j]
         touched = [nv]
         for w in (i, j):
             nw = g.neighbors(w)
-            tight[nw[good[nw]]] += 1
+            tight[nw] += 1
             touched.append(nw)
         # additions only tighten, so one ascending pass with an inline
         # recheck cannot miss a free node
-        for u in nv[good[nv] & ~in_s[nv] & (tight[nv] == 0)]:
+        for u in nv[~in_s[nv] & (tight[nv] == 0)]:
             if tight[u] == 0:
                 in_s[u] = True
                 nu = g.neighbors(u)
-                tight[nu[good[nu]]] += 1
+                tight[nu] += 1
                 added.append(int(u))
                 touched.append(nu)
         # v itself is two-tight now (i and j), so its status did not change
         touched = np.unique(np.concatenate(touched))
-        now = good[touched] & ~in_s[touched] & (tight[touched] == 1)
+        now = ~in_s[touched] & (tight[touched] == 1)
         flipped = touched[now != swap_in[touched]]
         swap_in[touched] = now
         marked = np.concatenate([np.array(added, dtype=np.int64)]
@@ -406,8 +403,8 @@ def _swap_search(g: Graph, good: np.ndarray) -> np.ndarray:
 
 def local_search_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
     """Local search for vertex cover: the candidates minus the
-    :func:`_swap_search` independent set of the candidates whose neighbors
-    are all candidates.
+    :func:`_swap_search` independent set of the subgraph induced by the
+    candidates whose neighbors are all candidates.
 
     A set covers every edge exactly when its complement is independent, so
     the removed set leaves every edge between two candidates covered, and a
@@ -417,10 +414,11 @@ def local_search_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
     (2,1)-move of the cover. A restricted start that is not a cover stays
     that way.
     """
-    cand = cand or Candidates.all()
+    cand = cand or Candidates()
     t0 = time.perf_counter()
     eligible = cand.mask_for(g)
-    removed = _swap_search(g, eligible & (g.count_in_mask(~eligible) == 0))
+    sub, ids = _induced(g, eligible & (g.count_in_mask(~eligible) == 0))
+    removed = _lift(_swap_search(sub, g.degrees()[ids]), ids, g.n)
     return Solution(
         problem=MVC,
         nodes=NodeSet(eligible & ~removed),
@@ -432,12 +430,13 @@ def local_search_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
 
 def local_search_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     """Local search for independent set: the :func:`_swap_search` set of the
-    candidates, maximal in full space."""
-    cand = cand or Candidates.all()
+    subgraph the candidates induce, maximal in full space."""
+    cand = cand or Candidates()
     t0 = time.perf_counter()
+    sub, ids = _induced(g, cand.mask_for(g))
     return Solution(
         problem=MIS,
-        nodes=NodeSet(_swap_search(g, cand.mask_for(g))),
+        nodes=NodeSet(_lift(_swap_search(sub, g.degrees()[ids]), ids, g.n)),
         algorithm="local-search",
         runtime=time.perf_counter() - t0,
         restricted=not cand.is_all,
@@ -609,16 +608,16 @@ def exact_solve(
     returned. Restricted vertex cover is lexicographic: cover every edge
     touching a candidate, then minimize solution size. An independent set
     is the complement of a minimum vertex cover of the candidate-induced
-    subgraph (all of the graph in full space).
+    subgraph (all of the graph in full space), mapped back to ``g``.
 
     On timeout the best incumbent found so far is returned with
-    ``optimal=False``; an independent set is then topped up with free
-    candidates so that a full-space result stays maximal.
+    ``optimal=False``; an independent set is then topped up with the
+    subgraph's free nodes so that a full-space result stays maximal.
     """
     if not time_limit > 0:  # NaN too: no time would ever pass it
         raise ValueError("time_limit must be positive")
     problem = _norm_problem(problem)
-    cand = cand or Candidates.all()
+    cand = cand or Candidates()
     t0 = time.perf_counter()
     deadline = t0 + time_limit
     eligible = cand.mask_for(g)
@@ -643,20 +642,20 @@ def exact_solve(
     # complement of a minimum vertex cover
     sub, ids = _induced(g, eligible)
     cover, optimal = _bb_mvc(sub, deadline)
-    in_set = eligible.copy()
-    in_set[ids[list(cover)]] = False
+    in_set = np.ones(sub.n, dtype=bool)
+    in_set[list(cover)] = False
     # a timed-out cover need not be minimal, so its complement need not be
     # maximal; additions only tighten, so one ascending pass with an inline
-    # recheck adds every free candidate (none when optimal)
-    free = np.flatnonzero(eligible & ~in_set & (g.count_in_mask(in_set) == 0)).tolist()
+    # recheck adds every free node (none when optimal)
+    free = np.flatnonzero(~in_set & (sub.count_in_mask(in_set) == 0)).tolist()
     if free:
-        adj = g.neighbor_lists()
+        adj = sub.neighbor_lists()  # cached by _bb_mvc
         for v in free:
             if not any(in_set[u] for u in adj[v]):
                 in_set[v] = True
     return Solution(
         problem=MIS,
-        nodes=NodeSet(in_set),
+        nodes=NodeSet(_lift(in_set, ids, g.n)),
         algorithm="exact",
         runtime=time.perf_counter() - t0,
         optimal=optimal,

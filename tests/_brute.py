@@ -169,7 +169,7 @@ def drop_sweep_local_search_mvc(g: Graph, cand: Candidates | None = None) -> Sol
     and every edge between two candidates stays covered; in full space the
     result is a cover with no removable node.
     """
-    cand = cand or Candidates.all()
+    cand = cand or Candidates()
     t0 = time.perf_counter()
     in_s = cand.mask_for(g).copy()
     for v in sorted(np.flatnonzero(in_s).tolist(), key=lambda u: (g.degree(u), u)):
@@ -197,7 +197,7 @@ def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None) -> S
     (ascending), which keeps full-space outputs maximal. In restricted mode
     only candidate nodes may enter, whether by swap or by re-add.
     """
-    cand = cand or Candidates.all()
+    cand = cand or Candidates()
     t0 = time.perf_counter()
     good = cand.mask_for(g)
     in_s = degree_order_start(g, good)
@@ -299,7 +299,7 @@ def heap_greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
     no eligible node covers any remaining edge. Residual degrees are kept
     incrementally in a lazy max-heap.
     """
-    cand = cand or Candidates.all()
+    cand = cand or Candidates()
     t0 = time.perf_counter()
     eligible = cand.mask_for(g)
     in_cover = np.zeros(g.n, dtype=bool)
@@ -338,7 +338,7 @@ def heap_greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     the candidate set, so the result is independent with respect to the full
     edge set and, in full-space mode, maximal.
     """
-    cand = cand or Candidates.all()
+    cand = cand or Candidates()
     t0 = time.perf_counter()
     pool = cand.mask_for(g).copy()
     in_set = np.zeros(g.n, dtype=bool)

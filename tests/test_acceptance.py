@@ -78,7 +78,7 @@ def test_a1_exact_solver_matches_brute_force(capfd):
         mask = rng.random(n) < 0.6
         if not mask.any():
             mask[int(rng.integers(n))] = True
-        cand = Candidates.restrict(NodeSet(mask))
+        cand = Candidates(NodeSet(mask))
 
         checks = [
             ("mvc full", exact_solve(g, "mvc").size, brute_mvc(g)[0]),
@@ -230,7 +230,7 @@ def test_a5_pruned_mis_speedups(mis_prune, capfd):
     search up >= 2.0x and greedy up >= 1.2x (medians of 3 runs), with the
     good set a proper, non-empty fraction (0 < ratio < 0.9) of the nodes."""
     g, good, _ = mis_prune
-    cand = Candidates.restrict(good)
+    cand = Candidates(good)
     ratio = good.size / g.n
     invalid = []
 
@@ -292,12 +292,12 @@ def test_a7_randomized_solver_validity(capfd):
         p = float(rng.choice([0.0, 0.1, 0.25, 0.4]))
         g = random_graph(n, p, int(rng.integers(1 << 20)))
         if rng.random() < 0.5:
-            cand = Candidates.all()
+            cand = Candidates()
         else:
             mask = rng.random(n) < 0.7
             if not mask.any():
                 mask[int(rng.integers(n))] = True
-            cand = Candidates.restrict(NodeSet(mask))
+            cand = Candidates(NodeSet(mask))
         sol = solve(g, problem, solver, cand, 30.0)
         rep = validate_solution(g, sol)
         if not rep.ok:

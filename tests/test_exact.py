@@ -48,7 +48,7 @@ class TestHandCases:
         assert exact_solve(edgeless6, MIS).size == 6
 
     def test_empty_candidates(self, path3):
-        empty = Candidates.restrict(NodeSet(np.zeros(3, dtype=bool)))
+        empty = Candidates(NodeSet(np.zeros(3, dtype=bool)))
         mvc = exact_solve(path3, MVC, empty)
         assert mvc.size == 0 and coverage(path3, mvc) == 0.0
         assert exact_solve(path3, MIS, empty).size == 0
@@ -64,17 +64,17 @@ class TestRestrictedSemantics:
         # covering all 4 path edges needs all three odd candidates even
         # though {2} alone would be a much smaller partial cover
         g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        s = exact_solve(g, MVC, Candidates.from_ids([0, 2, 4], 5))
+        s = exact_solve(g, MVC, Candidates(NodeSet.from_ids([0, 2, 4], 5)))
         assert sorted(s.nodes.ids()) == [0, 2, 4]
         assert coverage(g, s) == 1.0
 
     def test_forced_boundary_nodes_included(self, path3):
-        s = exact_solve(path3, MVC, Candidates.from_ids([0, 2], 3))
+        s = exact_solve(path3, MVC, Candidates(NodeSet.from_ids([0, 2], 3)))
         assert sorted(s.nodes.ids()) == [0, 2]
         assert coverage(path3, s) == 1.0
 
     def test_restricted_mis_is_induced_subproblem(self, triangle):
-        s = exact_solve(triangle, MIS, Candidates.from_ids([0, 1], 3))
+        s = exact_solve(triangle, MIS, Candidates(NodeSet.from_ids([0, 1], 3)))
         assert s.size == 1
         assert validate_solution(triangle, s).ok
 
@@ -98,7 +98,7 @@ class TestOracleEquivalence:
             g = random_graph(4 + seed % 11, 0.3, seed)
             rng = np.random.default_rng(1000 + seed)
             elig = rng.random(g.n) < 0.6
-            cand = Candidates.restrict(NodeSet(elig))
+            cand = Candidates(NodeSet(elig))
             mvc = exact_solve(g, MVC, cand)
             want_size, want_cov = brute_mvc(g, elig)
             assert (mvc.size, round(coverage(g, mvc) * g.m)) == (want_size, want_cov)
@@ -142,7 +142,7 @@ class TestSearchBehavior:
             g = random_graph(10 + seed % 5, 0.5, seed)
             elig = np.random.default_rng(seed).random(g.n) < 0.6
             for mask in (None, elig):
-                cand = None if mask is None else Candidates.restrict(NodeSet(mask))
+                cand = None if mask is None else Candidates(NodeSet(mask))
                 mvc = exact_solve(g, MVC, cand)
                 mis = exact_solve(g, MIS, cand)
                 assert mvc.optimal and mis.optimal
@@ -186,7 +186,7 @@ class TestSearchBehavior:
         assert validate_solution(g, full).ok
         elig = np.zeros(g.n, dtype=bool)
         elig[::2] = True
-        part = exact_solve(g, MIS, Candidates.restrict(NodeSet(elig)))
+        part = exact_solve(g, MIS, Candidates(NodeSet(elig)))
         assert part.optimal is False
         assert validate_solution(g, part).ok
         # restricted validation does not ask for maximality, so check that no
@@ -239,7 +239,7 @@ def _all_solves(graphs):
     out = []
     for i, g in enumerate(graphs):
         elig = np.random.default_rng(i).random(g.n) < 0.6
-        for cand in (None, Candidates.restrict(NodeSet(elig))):
+        for cand in (None, Candidates(NodeSet(elig))):
             for problem in (MVC, MIS):
                 out.append(exact_solve(g, problem, cand))
     return out

@@ -55,18 +55,18 @@ def gnm_graph(n, m, seed):
 
 class TestCandidates:
     def test_all_vs_restricted(self):
-        assert Candidates.all().is_all
-        c = Candidates.from_ids([0, 2], 4)
+        assert Candidates().is_all
+        c = Candidates(NodeSet.from_ids([0, 2], 4))
         assert not c.is_all
         assert list(c.good.ids()) == [0, 2]
 
     def test_mask_for_checks_universe(self, triangle):
-        c = Candidates.restrict(NodeSet.from_ids([0], 5))
+        c = Candidates(NodeSet.from_ids([0], 5))
         with pytest.raises(ValueError):
             c.mask_for(triangle)
 
     def test_mask_for_all(self, triangle):
-        assert Candidates.all().mask_for(triangle).all()
+        assert Candidates().mask_for(triangle).all()
 
 
 class TestCoverage:
@@ -149,7 +149,7 @@ class TestGreedyMvc:
         assert list(s.nodes.ids()) == [0]
 
     def test_restricted_path_needs_both_endpoints(self, path3):
-        s = greedy_mvc(path3, Candidates.from_ids([0, 2], 3))
+        s = greedy_mvc(path3, Candidates(NodeSet.from_ids([0, 2], 3)))
         assert sorted(s.nodes.ids()) == [0, 2]
         assert coverage(path3, s) == 1.0
         assert s.restricted
@@ -157,7 +157,7 @@ class TestGreedyMvc:
     def test_restricted_stops_when_nothing_coverable(self):
         # candidate 3 touches no uncovered edge once 0 is picked
         g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        s = greedy_mvc(g, Candidates.from_ids([0, 3], 4))
+        s = greedy_mvc(g, Candidates(NodeSet.from_ids([0, 3], 4)))
         assert list(s.nodes.ids()) == [0]
         assert coverage(g, s) == 1.0
 
@@ -180,7 +180,7 @@ class TestGreedyMis:
         assert greedy_mis(edgeless6).size == 6
 
     def test_restricted_respects_full_edge_set(self, triangle):
-        s = greedy_mis(triangle, Candidates.from_ids([0, 1], 3))
+        s = greedy_mis(triangle, Candidates(NodeSet.from_ids([0, 1], 3)))
         assert s.size == 1
         assert validate_solution(triangle, s).ok
 
@@ -228,13 +228,13 @@ def clique_ladder(k, isolated, seed):
 
 def greedy_reference_spaces(g, rng):
     """Full space, then empty, full, single-node and random candidate sets."""
-    yield Candidates.all()
-    yield Candidates.from_ids([], g.n)
-    yield Candidates.from_ids(np.arange(g.n), g.n)
+    yield Candidates()
+    yield Candidates(NodeSet.from_ids([], g.n))
+    yield Candidates(NodeSet.from_ids(np.arange(g.n), g.n))
     if g.n:
-        yield Candidates.from_ids([int(rng.integers(g.n))], g.n)
+        yield Candidates(NodeSet.from_ids([int(rng.integers(g.n))], g.n))
     for frac in (0.2, 0.5, 0.8):
-        yield Candidates.from_ids(np.flatnonzero(rng.random(g.n) < frac), g.n)
+        yield Candidates(NodeSet.from_ids(np.flatnonzero(rng.random(g.n) < frac), g.n))
 
 
 class TestGreedyMatchesHeapReference:
@@ -262,8 +262,8 @@ class TestGreedyMatchesHeapReference:
         # frontier is raised several times
         g = build()
         rng = np.random.default_rng(17)
-        some = Candidates.from_ids(np.flatnonzero(rng.random(g.n) < 0.4), g.n)
-        for cand in (Candidates.all(), some):
+        some = Candidates(NodeSet.from_ids(np.flatnonzero(rng.random(g.n) < 0.4), g.n))
+        for cand in (Candidates(), some):
             got = greedy_mis(g, cand)
             want = heap_greedy_mis(g, cand)
             assert got.nodes == want.nodes, cand.good
@@ -329,7 +329,7 @@ class TestRestrictedLoneCandidates:
         mask = make(g, np.random.default_rng(8))
         share = np.count_nonzero(mask & (g.count_in_mask(mask) == 0)) / mask.sum()
         assert lone_share[0] <= share <= lone_share[1], share
-        cand = Candidates.restrict(NodeSet(mask))
+        cand = Candidates(NodeSet(mask))
         for solver, reference in ((greedy_mis, heap_greedy_mis),
                                   (local_search_mis, restart_scan_local_search_mis)):
             got = solver(g, cand)
@@ -341,17 +341,17 @@ class TestRestrictedLoneCandidates:
 class TestLocalSearchMvc:
     def test_triangle_removal(self, triangle):
         # init = {0,1,2}; node 0 is scanned first and removed
-        s = local_search_mvc(triangle, Candidates.from_ids([0, 1, 2], 3))
+        s = local_search_mvc(triangle, Candidates(NodeSet.from_ids([0, 1, 2], 3)))
         assert sorted(s.nodes.ids()) == [1, 2]
 
     def test_star_keeps_center(self):
         # center last so the ascending scan removes each leaf first
         g = graph_from_edges(5, [(4, i) for i in range(4)])
-        s = local_search_mvc(g, Candidates.from_ids(range(5), 5))
+        s = local_search_mvc(g, Candidates(NodeSet.from_ids(range(5), 5)))
         assert list(s.nodes.ids()) == [4]
 
     def test_restricted_pair_is_stable(self, path3):
-        s = local_search_mvc(path3, Candidates.from_ids([0, 2], 3))
+        s = local_search_mvc(path3, Candidates(NodeSet.from_ids([0, 2], 3)))
         assert sorted(s.nodes.ids()) == [0, 2]
 
     def test_full_space_cover_and_local_minimality(self):
@@ -366,7 +366,7 @@ class TestLocalSearchMvc:
 
     def test_restricted_subset_of_candidates(self):
         g = random_graph(40, 0.12, 4)
-        cand = Candidates.from_ids(range(0, 40, 2), 40)
+        cand = Candidates(NodeSet.from_ids(range(0, 40, 2), 40))
         s = local_search_mvc(g, cand)
         assert not (s.nodes.mask & ~cand.good.mask).any()
 
@@ -381,8 +381,8 @@ class TestLocalSearchMvc:
             n = int(rng.integers(4, 41))
             g = random_graph(n, float(rng.choice([0.0, 0.1, 0.25, 0.4])),
                              int(rng.integers(1 << 20)))
-            spaces.append((g, Candidates.all()))
-            spaces.append((g, Candidates.restrict(NodeSet(rng.random(n) < 0.7))))
+            spaces.append((g, Candidates()))
+            spaces.append((g, Candidates(NodeSet(rng.random(n) < 0.7))))
         spaces += [s for kind in REFERENCE_KINDS for n in REFERENCE_SIZES
                    for s in reference_spaces(kind, n)]
         smaller = 0
@@ -402,6 +402,25 @@ class TestLocalSearchMvc:
             smaller += got.size < want.size
         # the check means little unless the swaps often shrink the cover
         assert smaller >= len(spaces) // 10, (smaller, len(spaces))
+
+    def test_candidates_minus_restart_scan_mis_of_inner_candidates(self):
+        # the cover is the candidates minus the reference MIS of those whose
+        # neighbors are all candidates, which starts by their degrees in the
+        # whole graph: the restart-scan reference spaces, then each of their
+        # graphs with random 70% and 90% masks
+        rng = np.random.default_rng(29)
+        spaces = []
+        for kind in REFERENCE_KINDS:
+            for n in REFERENCE_SIZES:
+                for g, cand in reference_spaces(kind, n):
+                    spaces.append((g, cand.mask_for(g)))
+                for frac in (0.7, 0.9):
+                    spaces += [(g, rng.random(n) < frac) for _ in range(5)]
+        for g, eligible in spaces:
+            inner = eligible & (g.count_in_mask(~eligible) == 0)
+            want = restart_scan_local_search_mis(g, Candidates(NodeSet(inner)))
+            got = local_search_mvc(g, Candidates(NodeSet(eligible)))
+            assert np.array_equal(got.nodes.mask, eligible & ~want.nodes.mask)
 
     def test_full_space_complement_has_no_swap(self):
         # brute force: the complement is independent and maximal, and no
@@ -447,9 +466,9 @@ def reference_spaces(kind, n):
     with four candidate fractions."""
     g = generate_ba(n, min(3, n - 1), n) if kind == "ba" else gnm_graph(n, 2 * n, n)
     rng = np.random.default_rng(n)
-    yield g, Candidates.all()
+    yield g, Candidates()
     for frac in (0.1, 0.4, 0.7, 0.9):
-        yield g, Candidates.from_ids(np.flatnonzero(rng.random(n) < frac), n)
+        yield g, Candidates(NodeSet.from_ids(np.flatnonzero(rng.random(n) < frac), n))
 
 
 class TestLocalSearchMis:
@@ -489,7 +508,7 @@ class TestLocalSearchMis:
 
     def test_restricted_stays_in_candidates(self):
         g = random_graph(40, 0.12, 5)
-        cand = Candidates.from_ids(range(0, 40, 3), 40)
+        cand = Candidates(NodeSet.from_ids(range(0, 40, 3), 40))
         s = local_search_mis(g, cand)
         assert not (s.nodes.mask & ~cand.good.mask).any()
         assert validate_solution(g, s).ok
@@ -545,7 +564,7 @@ class TestCrossSolverProperties:
         for seed in range(5):
             g = random_graph(14, 0.3, seed)
             rng = np.random.default_rng(seed)
-            cand = Candidates.restrict(NodeSet(rng.random(g.n) < 0.6))
+            cand = Candidates(NodeSet(rng.random(g.n) < 0.6))
             assert exact_solve(g, MIS, cand).size >= greedy_mis(g, cand).size
 
     def test_solution_metadata(self, triangle):
@@ -558,7 +577,7 @@ class TestCrossSolverProperties:
 class TestSolveDispatch:
     def test_matches_direct_calls(self):
         g = random_graph(14, 0.3, 2)
-        cand = Candidates.from_ids(range(0, 14, 2), 14)
+        cand = Candidates(NodeSet.from_ids(range(0, 14, 2), 14))
         pairs = [
             (solve(g, MVC, "greedy", cand), greedy_mvc(g, cand)),
             (solve(g, MIS, "greedy"), greedy_mis(g)),
