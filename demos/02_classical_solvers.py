@@ -46,9 +46,12 @@ ls = local_search_mis(swappy)
 print("local-search MIS:", [int(v) for v in ls.nodes.ids()])
 print("local-search MVC:", [int(v) for v in local_search_mvc(swappy).nodes.ids()])
 
-# The exact solver is branch and bound for vertex cover with degree
-# reductions and a matching bound; an independent set is the complement of a
-# minimum cover. On small graphs it proves optimality.
+# The exact solver is branch and reduce for vertex cover. Nodes of degree 0
+# and 1 are settled directly, and a node of degree 2 either puts both its
+# neighbors in the cover (if they are adjacent) or is folded with them into
+# one merged node; a matching bounds the branching. An independent set is
+# the complement of a minimum cover. The 5-cycle needs no branching: a fold
+# leaves a triangle, whose degree-2 rule ends it.
 c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 for problem in ("mvc", "mis"):
     sol = exact_solve(c5, problem)

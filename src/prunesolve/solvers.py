@@ -9,7 +9,14 @@ Greedy MIS, both local searches and exact MIS restrict a solve one way: the
 full-space algorithm runs on the subgraph the candidates induce (for local
 search MVC, those whose neighbors are all candidates), and :func:`_lift`
 maps its set back. Greedy and exact MVC keep a mask over the whole graph
-instead, because they must cover edges that leave the candidates.
+instead, because they must cover edges that leave the candidates. Which
+candidates have a neighbor outside the candidates (:func:`_leaving`) is read
+from the candidates' own adjacency rows, the rows :func:`_induced` gathers.
+
+The exact solver is a branch and reduce for minimum vertex cover: degree-0,
+degree-1 and degree-2 reductions, the last folding a node and its two
+non-adjacent neighbors into one merged node, then branching on a
+maximum-degree node, bounded by a matching.
 
 All solvers are deterministic given (graph, candidates), and ties are
 always broken toward the lowest node id. One (1,2)-swap local search serves
@@ -144,31 +151,52 @@ def format_solution(g: Graph, s: Solution) -> str:
     return head + _int_rows_text(s.nodes.ids()[:, None])
 
 
+def _rows(g: Graph, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every adjacency entry of the nodes ``ids``, in ascending (source,
+    target) order: the entry's row (an index into ``ids``) and its target.
+
+    Only those rows are gathered, so the cost is the sum of their degrees,
+    not ``g``'s edge count.
+    """
+    starts = g.offsets[ids]
+    deg = g.offsets[ids + 1] - starts
+    # the position in g.targets of each entry of the rows
+    pos = np.arange(int(deg.sum())) + np.repeat(starts - (np.cumsum(deg) - deg), deg)
+    return np.repeat(np.arange(len(ids)), deg), g.targets[pos]
+
+
 def _induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
     """Subgraph induced by ``mask`` and the ids of its nodes in ``g``.
 
     Nodes keep their ascending order, so lowest-id ties break alike in both.
-    The edges are gathered from the adjacency rows of the masked nodes
-    alone, so the cost is the sum of their degrees, not ``g``'s edge count.
-    Those rows already hold both directions of every induced edge, in
-    ascending (source, target) order. When the mask holds every node, the
-    subgraph is ``g`` itself.
+    The edges come from the :func:`_rows` of the masked nodes, which already
+    hold both directions of every induced edge, in ascending (source,
+    target) order. When the mask holds every node, the subgraph is ``g``
+    itself.
     """
     ids = np.flatnonzero(mask)
     if len(ids) == g.n:
         return g, ids
     new = np.full(g.n, -1, dtype=np.int64)
     new[ids] = np.arange(len(ids))
-    starts = g.offsets[ids]
-    deg = g.offsets[ids + 1] - starts
-    # the position in g.targets of each entry of the masked rows
-    pos = np.arange(int(deg.sum())) + np.repeat(starts - (np.cumsum(deg) - deg), deg)
-    dst = new[g.targets[pos]]
+    src, dst = _rows(g, ids)
+    dst = new[dst]
     inside = dst >= 0
-    src = np.repeat(np.arange(len(ids)), deg)[inside]
     sub = Graph.__new__(Graph)
-    sub._build(len(ids), src * len(ids) + dst[inside])
+    sub._build(len(ids), src[inside] * len(ids) + dst[inside])
     return sub, ids
+
+
+def _leaving(g: Graph, mask: np.ndarray) -> np.ndarray:
+    """The nodes of ``mask`` with a neighbor outside it, as a mask over
+    ``g``'s nodes, found from the masked nodes' own :func:`_rows`. A mask
+    of every node has none, and gathers nothing."""
+    out = np.zeros(g.n, dtype=bool)
+    if not mask.all():
+        ids = np.flatnonzero(mask)
+        src, dst = _rows(g, ids)
+        out[ids[src[~mask[dst]]]] = True
+    return out
 
 
 def _lift(mask: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
@@ -417,7 +445,7 @@ def local_search_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
     cand = cand or Candidates()
     t0 = time.perf_counter()
     eligible = cand.mask_for(g)
-    sub, ids = _induced(g, eligible & (g.count_in_mask(~eligible) == 0))
+    sub, ids = _induced(g, eligible & ~_leaving(g, eligible))
     removed = _lift(_swap_search(sub, g.degrees()[ids]), ids, g.n)
     return Solution(
         problem=MVC,
@@ -467,15 +495,23 @@ def _matching_lb(adj: dict[int, set[int]]) -> int:
     neighbor u, u's mate w and a free neighbor x != v of w (the first such
     path found, x of lowest degree) become the pairs (v, u) and (w, x).
     Matched nodes stay matched, so every neighbor of a free node has a mate.
+    A free neighbor is found by a scan that keeps the lowest rank seen, so
+    no set is built per node.
     """
     order = [v for _, v in sorted(zip(map(len, adj.values()), adj))]
-    rank = {v: i for i, v in enumerate(order)}.__getitem__
+    rank = {v: i for i, v in enumerate(order)}
     mate: dict[int, int] = {}
+    end = len(order)
     for v in order:
         if v not in mate:
-            free = adj[v].difference(mate)
-            if free:
-                u = min(free, key=rank)
+            best = end
+            for u in adj[v]:
+                if u not in mate:
+                    r = rank[u]
+                    if r < best:
+                        best = r
+            if best < end:
+                u = order[best]
                 mate[v] = u
                 mate[u] = v
     size = len(mate) // 2
@@ -484,10 +520,14 @@ def _matching_lb(adj: dict[int, set[int]]) -> int:
             continue
         for u in adj[v]:
             w = mate[u]
-            free = adj[w].difference(mate)
-            free.discard(v)
-            if free:
-                x = min(free, key=rank)
+            best = end
+            for x in adj[w]:
+                if x not in mate and x != v:
+                    r = rank[x]
+                    if r < best:
+                        best = r
+            if best < end:
+                x = order[best]
                 mate[v] = u
                 mate[u] = v
                 mate[w] = x
@@ -498,90 +538,147 @@ def _matching_lb(adj: dict[int, set[int]]) -> int:
 
 
 def _bb_mvc(sub: Graph, deadline: float) -> tuple[set[int], bool]:
-    """Branch and bound for minimum vertex cover, depth first over an
+    """Branch and reduce for minimum vertex cover, depth first over an
     explicit stack.
 
     The incumbent starts as :func:`greedy_mvc`'s cover. A stack frame is
-    (undo mark, chosen mark, nodes to take into the cover, node to drop):
-    popping it rewinds the undo trail and ``chosen`` to its marks and applies
-    its choice; then the reductions, the leaf check and the matching bound
-    run. A branch pushes its exclude frame below its include frame, so the
-    include side is searched first. Returns (best cover found, proven-optimal
-    flag).
+    (undo mark, chosen mark, fold mark, nodes to take into the cover):
+    popping it rewinds the undo trail, ``chosen`` and ``folds`` to its marks
+    and takes its nodes; then the reductions, the leaf check and the
+    matching bound run. A branch on v pushes its exclude frame (take every
+    neighbor of v, which leaves v isolated) below its include frame (take
+    v), so the include side is searched first. Returns (best cover found,
+    proven-optimal flag).
 
     The reductions work from ``low``, a min-heap of node ids that holds
-    every node of degree 0 or 1: the root seeds it, and removing a node
-    pushes each neighbor whose degree falls to 1 or less. Ids no longer in
-    the graph are skipped; a degree-0 node is removed, and a degree-1 node's
-    neighbor joins the cover, lowest id first. Degrees only fall until the
-    heap is empty, and every frame starts from a reduced graph, so the
-    reduced graph, and with it the branch node (maximum degree, lowest id),
-    depends only on the current adjacency. Any valid bound prunes only
-    subtrees without a strictly smaller cover, so the incumbents, and the
-    returned cover, are those of the unbounded search: a stronger bound
-    changes only how many nodes are visited.
+    every node of degree 2 or less: the root seeds it, and a node is pushed
+    whenever its degree falls to 2 or less, or it is made with degree 2 or
+    less. A popped id that is gone or has degree above 2 is skipped.
+    Otherwise, lowest id first: a degree-0 node is removed; a degree-1
+    node's neighbor joins the cover; a degree-2 node v with adjacent
+    neighbors a and b (a triangle) puts both in the cover; and with
+    non-adjacent ones, v is folded (Chen, Kanj & Jia 2001): v, a and b
+    are removed, and a merged node adjacent to N(a) | N(b) takes v's id.
+    A minimum cover of the folded graph has exactly one node fewer than one
+    of the graph before it, so a fold counts one toward the cover size,
+    which is ``len(chosen) + len(folds)``. The undo trail restores removed
+    nodes from (v, neighbors) entries, and a fold adds (v, None), whose
+    rewind deletes the merged node.
+
+    Only a leaf that beats the incumbent unfolds ``chosen``, over the folds
+    in reverse order: if the merged id is in the cover, it is replaced by a
+    and b, else v joins. So the incumbent is always a cover of ``sub``,
+    also when the deadline cuts the search short.
+
+    Reductions run until the heap is empty, every frame starts from a
+    reduced graph, and each rule and the merged node depend only on the
+    adjacency, so the reduced graph, and with it the branch node (maximum
+    degree, lowest id), depends only on the current adjacency. Any valid
+    bound prunes only subtrees without a strictly smaller cover, so the
+    incumbents, and the returned cover, are those of the unbounded search:
+    a stronger bound changes only how many nodes are visited.
     """
     best = set(greedy_mvc(sub).nodes.ids().tolist())
     best_size = len(best)
     adj = {v: set(nbrs) for v, nbrs in enumerate(sub.neighbor_lists())}
     chosen: list[int] = []
-    undo: list[tuple[int, set[int]]] = []
-    low = [v for v, nbrs in adj.items() if len(nbrs) <= 1]  # ascending: a heap
+    folds: list[tuple[int, int, int]] = []  # (v, a, b), merged node id v
+    undo: list[tuple[int, set[int] | None]] = []
+    low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]  # ascending: a heap
+    push, pop, clock = heapq.heappush, heapq.heappop, time.perf_counter
 
-    def remove_node(v: int) -> None:
-        nbrs = adj.pop(v)
-        for u in nbrs:
-            rest = adj[u]
-            rest.discard(v)
-            if len(rest) <= 1:
-                heapq.heappush(low, u)
-        undo.append((v, nbrs))
-
-    def reduce_() -> None:
-        while low:
-            v = heapq.heappop(low)
-            nbrs = adj.get(v)
-            if nbrs is None:
-                continue
-            if nbrs:
-                _check_time(deadline)
-                (u,) = nbrs
-                chosen.append(u)
-                remove_node(u)
-            else:
-                remove_node(v)
-
-    stack = [(0, 0, (), None)]
+    stack: list[tuple[int, int, int, tuple[int, ...]]] = [(0, 0, 0, ())]
     try:
         while stack:
             _check_time(deadline)
-            mark_u, mark_c, take, drop = stack.pop()
+            mark_u, mark_c, mark_f, take = stack.pop()
             while len(undo) > mark_u:
                 v, nbrs = undo.pop()
-                adj[v] = nbrs
-                for u in nbrs:
-                    adj[u].add(v)
+                if nbrs is None:  # a fold's merged node
+                    for u in adj.pop(v):
+                        adj[u].discard(v)
+                else:
+                    adj[v] = nbrs
+                    for u in nbrs:
+                        adj[u].add(v)
             del chosen[mark_c:]
-            for u in take:
-                chosen.append(u)
-                remove_node(u)
-            if drop is not None:
-                remove_node(drop)
-            reduce_()
+            del folds[mark_f:]
+            while True:
+                for v in take:
+                    chosen.append(v)
+                    nbrs = adj.pop(v)
+                    for u in nbrs:
+                        rest = adj[u]
+                        rest.discard(v)
+                        if len(rest) <= 2:
+                            push(low, u)
+                    undo.append((v, nbrs))
+                take = ()
+                while low:
+                    v = pop(low)
+                    nbrs = adj.get(v)
+                    if nbrs is None or len(nbrs) > 2:
+                        continue
+                    if not nbrs:
+                        del adj[v]
+                        undo.append((v, nbrs))
+                        continue
+                    if clock() > deadline:
+                        raise _Deadline
+                    if len(nbrs) == 1:
+                        take = tuple(nbrs)
+                        break
+                    a, b = nbrs
+                    na = adj[a]
+                    if b in na:
+                        take = (a, b)
+                        break
+                    # fold: v, a and b leave, and a merged node takes v's id
+                    nb = adj.pop(b)
+                    del adj[a], adj[v]
+                    na.discard(v)
+                    nb.discard(v)
+                    for u in na:
+                        rest = adj[u]
+                        rest.discard(a)
+                        rest.add(v)
+                    for u in nb:
+                        rest = adj[u]
+                        rest.discard(b)
+                        if v not in rest:
+                            rest.add(v)
+                        elif len(rest) <= 2:  # a and b, both its neighbors, became v
+                            push(low, u)
+                    merged = na | nb
+                    adj[v] = merged
+                    if len(merged) <= 2:
+                        push(low, v)
+                    undo += ((v, nbrs), (a, na), (b, nb), (v, None))
+                    folds.append((v, a, b))
+                if not take:
+                    break
+            size = len(chosen) + len(folds)
             if not adj:
-                if len(chosen) < best_size:
+                if size < best_size:
                     best = set(chosen)
-                    best_size = len(chosen)
+                    for v, a, b in reversed(folds):
+                        if v in best:
+                            best.remove(v)
+                            best.add(a)
+                            best.add(b)
+                        else:
+                            best.add(v)
+                    best_size = size
             # a matching has at most len(adj) // 2 edges, so when that is
             # too few to prune, the bound is not computed
-            elif (len(chosen) + len(adj) // 2 < best_size
-                  or len(chosen) + _matching_lb(adj) < best_size):
-                top = max(map(len, adj.values()))
-                v = min(u for u, nbrs in adj.items() if len(nbrs) == top)
+            elif (size + len(adj) // 2 < best_size
+                  or size + _matching_lb(adj) < best_size):
+                # maximum degree, then lowest id
+                v = -max(zip(map(len, adj.values()), map(int.__neg__, adj)))[1]
                 # exclude v (all its neighbors join the cover) below include v
-                mark_u, mark_c = len(undo), len(chosen)
-                stack.append((mark_u, mark_c, tuple(adj[v]), v))
-                stack.append((mark_u, mark_c, (v,), None))
+                mark = len(undo), len(chosen), len(folds)
+                stack.append((*mark, tuple(adj[v])))
+                stack.append((*mark, (v,)))
         return best, True
     except _Deadline:
         return best, False
@@ -593,22 +690,27 @@ def exact_solve(
     cand: Candidates | None = None,
     time_limit: float = TIME_LIMIT,
 ) -> Solution:
-    """Exact branch-and-bound solve: one minimum vertex cover search serves
+    """Exact branch-and-reduce solve: one minimum vertex cover search serves
     both problems.
 
     The search (:func:`_bb_mvc`) is a depth-first loop over an explicit
     stack, seeded with the greedy cover as its incumbent, so it neither
-    recurses nor changes any process-wide setting. Degree-0 and degree-1
-    reductions run at every search node from a worklist of low-degree nodes,
-    lowest id first; branching is on the maximum-degree undecided node,
-    ties to the lowest id; and a matching, greedy by ascending degree and
-    grown along three-edge augmenting paths, bounds covers from below. The
-    reduced graph and the branch node depend only on the current graph, so
-    the bound decides only how much is searched, never which cover is
-    returned. Restricted vertex cover is lexicographic: cover every edge
-    touching a candidate, then minimize solution size. An independent set
-    is the complement of a minimum vertex cover of the candidate-induced
-    subgraph (all of the graph in full space), mapped back to ``g``.
+    recurses nor changes any process-wide setting. Reductions for nodes of
+    degree 0, 1 and 2 run at every search node from a worklist of
+    low-degree nodes, lowest id first: a degree-2 node whose neighbors are
+    adjacent puts both in the cover, and one whose neighbors are not is
+    folded with them into one merged node. Branching is on the
+    maximum-degree undecided node, ties to the lowest id; and a matching,
+    greedy by ascending degree and grown along three-edge augmenting paths,
+    bounds covers from below. The reduced graph and the branch node depend
+    only on the current graph, so the bound decides only how much is
+    searched, never which cover is returned. Only a leaf that beats the
+    incumbent unfolds its merged nodes, so every incumbent is a cover of
+    the searched graph. Restricted vertex cover is lexicographic: cover
+    every edge touching a candidate, then minimize solution size. An
+    independent set is the complement of a minimum vertex cover of the
+    candidate-induced subgraph (all of the graph in full space), mapped
+    back to ``g``.
 
     On timeout the best incumbent found so far is returned with
     ``optimal=False``; an independent set is then topped up with the
@@ -626,7 +728,7 @@ def exact_solve(
     if problem == MVC:
         # a candidate with a neighbor outside the candidates is the only way
         # to cover that edge, so it is forced in (none in full space)
-        in_cover = eligible & (g.count_in_mask(~eligible) > 0)
+        in_cover = _leaving(g, eligible)
         sub, ids = _induced(g, eligible & ~in_cover)
         cover, optimal = _bb_mvc(sub, deadline)
         in_cover[ids[list(cover)]] = True

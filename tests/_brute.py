@@ -18,6 +18,8 @@ package's list-based greedy solvers. ``rescan_bb_mvc`` and
 ``id_order_matching_lb`` are the exact search as it was, rescanning the
 whole graph for reductions and bounding with an id-ordered greedy matching;
 they check the worklist search and its augmented matching bound.
+``set_difference_matching_lb`` is that bound as it was, with a set
+difference per free node; the package's scan must give the same value.
 ``brute_max_matching`` is a maximum matching's size by recursion, and
 ``forest_mvc_size`` strips leaves to find a forest's minimum cover size.
 ``validate`` rechecks a ``Graph``'s structural invariants, symmetry by
@@ -384,6 +386,38 @@ def id_order_matching_lb(adj: dict[int, set[int]]) -> int:
             used.add(v)
             used.add(partner)
             size += 1
+    return size
+
+
+def set_difference_matching_lb(adj: dict[int, set[int]]) -> int:
+    """The augmented matching bound as it was, finding each free node's free
+    neighbors with a set difference and taking the lowest-ranked one."""
+    order = [v for _, v in sorted(zip(map(len, adj.values()), adj))]
+    rank = {v: i for i, v in enumerate(order)}.__getitem__
+    mate: dict[int, int] = {}
+    for v in order:
+        if v not in mate:
+            free = adj[v].difference(mate)
+            if free:
+                u = min(free, key=rank)
+                mate[v] = u
+                mate[u] = v
+    size = len(mate) // 2
+    for v in order:
+        if v in mate:
+            continue
+        for u in adj[v]:
+            w = mate[u]
+            free = adj[w].difference(mate)
+            free.discard(v)
+            if free:
+                x = min(free, key=rank)
+                mate[v] = u
+                mate[u] = v
+                mate[w] = x
+                mate[x] = w
+                size += 1
+                break
     return size
 
 

@@ -1,7 +1,9 @@
 """Exact branch-and-bound solver against an exhaustive bitmask oracle."""
 
 import hashlib
+import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from _brute import (
     forest_mvc_size,
     id_order_matching_lb,
     rescan_bb_mvc,
+    set_difference_matching_lb,
 )
 from conftest import graph_from_edges, random_graph
 from prunesolve import solvers
@@ -23,6 +26,7 @@ from prunesolve.solvers import (
     Candidates,
     coverage,
     exact_solve,
+    greedy_mvc,
     validate_solution,
 )
 
@@ -149,18 +153,24 @@ class TestSearchBehavior:
                 assert (mvc.size, round(coverage(g, mvc) * g.m)) == brute_mvc(g, mask)
                 assert mis.size == brute_mis(g, mask)
 
-    def test_tied_optima_pinned(self):
+    def test_tied_optima_pinned(self, monkeypatch):
         # BA graphs have many optimal solutions; the digest pins which one the
-        # search order picks, so reordering the search shows up here
+        # search order picks, so reordering the search shows up here. Each
+        # solve's size and flag are those of the rescanning search, so a new
+        # digest can only come from a different choice among optima
         h = hashlib.sha256()
         for seed in range(10):
             g = generate_ba(150, 3, seed)
             for problem in (MVC, MIS):
                 s = exact_solve(g, problem)
-                assert s.optimal
+                with monkeypatch.context() as mp:
+                    mp.setattr(solvers, "_bb_mvc", rescan_bb_mvc)
+                    t = exact_solve(g, problem)
+                assert s.optimal and (s.size, s.optimal) == (t.size, t.optimal)
+                assert validate_solution(g, s).ok
                 h.update(f"{problem} {seed} {s.nodes.ids().tolist()}\n".encode())
         assert h.hexdigest() == (
-            "1bd689a536a90acc093a3e3ae8b8c83f5d30e585b55f572692258e8b357a772f")
+            "98da74e32ce82c3c58a1f85d14338fb04b4bf88aaeddfe903a3e3a9f91c5842a")
 
     def test_deadline_read_before_bounding(self, monkeypatch):
         # every popped frame reads the clock, not only the degree-1
@@ -214,18 +224,43 @@ def _with_isolated(g, k, rng):
     return graph_from_edges(g.n + k, perm[g.edge_array()])
 
 
+def _subdivided(g, rng):
+    # every edge becomes a path of 2 or 3 edges through new nodes, so the
+    # graph is full of degree-2 nodes whose folds nest
+    edges, n = [], g.n
+    for u, v in g.edge_array().tolist():
+        inner = list(range(n, n + int(rng.integers(1, 3))))
+        n += len(inner)
+        path = [u, *inner, v]
+        edges += zip(path, path[1:])
+    return graph_from_edges(n, edges)
+
+
+FAMILIES = ["gnm", "dense", "ba", "forest", "isolated", "subdivided"]
+
+
 def _family(name, count=65):
-    rng = np.random.default_rng(["gnm", "ba", "forest", "isolated"].index(name))
+    rng = np.random.default_rng(FAMILIES.index(name))
     graphs = []
     for i in range(count):
         if name == "gnm":
             n = int(rng.integers(2, 37))
             graphs.append(_gnm(n, int(rng.integers(0, 5 * n // 2 + 1)), rng))
+        elif name == "dense":
+            # denser: searches branch deeper, and an exclude side is often
+            # searched after folds made on the include side
+            n = int(rng.integers(16, 31))
+            graphs.append(_gnm(n, 4 * n, rng))
         elif name == "ba":
             m = 1 + i % 4
             graphs.append(generate_ba(int(rng.integers(m + 1, 41)), m, i))
         elif name == "forest":
             graphs.append(_forest(int(rng.integers(1, 61)), rng))
+        elif name == "subdivided":
+            n = int(rng.integers(2, 13))
+            g = _subdivided(_gnm(n, int(rng.integers(0, 2 * n + 1)), rng), rng)
+            # half with shuffled ids, so the folds run in another order
+            graphs.append(_with_isolated(g, 0, rng) if i % 2 else g)
         else:
             n = int(rng.integers(2, 31))
             base = (_gnm(n, int(rng.integers(0, 2 * n + 1)), rng) if i % 2
@@ -249,7 +284,7 @@ class TestAgainstRescanSearch:
     """The worklist search against the rescanning search it replaced
     (``rescan_bb_mvc``, with its id-ordered greedy matching bound)."""
 
-    @pytest.mark.parametrize("family", ["gnm", "ba", "forest", "isolated"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_same_sizes_and_flags(self, family, monkeypatch):
         graphs = _family(family)
         new = _all_solves(graphs)
@@ -265,7 +300,7 @@ class TestAgainstRescanSearch:
         if family == "forest":  # full-space covers come first in each four
             assert [s.size for s in new[::4]] == [forest_mvc_size(g) for g in graphs]
 
-    @pytest.mark.parametrize("family", ["gnm", "ba", "forest", "isolated"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_output_does_not_depend_on_bound(self, family, monkeypatch):
         # the reduced graph and the branch node depend only on the current
         # adjacency, so a weaker bound visits more nodes but returns the
@@ -277,6 +312,145 @@ class TestAgainstRescanSearch:
             weak = _all_solves(graphs)
         for s, t in zip(new, weak):
             assert s.nodes == t.nodes
+
+
+def _cycle(n):
+    return graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def _path(n):
+    return graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _hub_chains(lengths):
+    # hubs 0 and 1 joined by chains of that many degree-2 nodes each (0: an
+    # edge between the hubs)
+    edges, n = [], 2
+    for k in lengths:
+        path = [0, *range(n, n + k), 1]
+        n += k
+        edges += zip(path, path[1:])
+    return graph_from_edges(n, edges)
+
+
+class TestFolding:
+    """The degree-2 rules: a node whose neighbors are adjacent puts both in
+    the cover, and one whose neighbors are not is folded with them."""
+
+    @pytest.fixture
+    def no_bound(self, monkeypatch):
+        def refuse(adj):
+            raise AssertionError("the matching bound ran")
+
+        monkeypatch.setattr(solvers, "_matching_lb", refuse)
+
+    def _solve_both(self, g, want_cover):
+        mvc = exact_solve(g, MVC)
+        mis = exact_solve(g, MIS)
+        assert mvc.optimal and mis.optimal
+        assert (mvc.size, mis.size) == (want_cover, g.n - want_cover)
+        assert validate_solution(g, mvc).ok and validate_solution(g, mis).ok
+
+    def test_cycles_and_paths_need_no_bound(self, no_bound):
+        # folds shrink a cycle by two nodes at a time down to a triangle or
+        # an edge, and a path by its leaves, so neither branches; brute
+        # force confirms the closed forms up to 16 nodes
+        for n in range(3, 41):
+            for g, want in ((_cycle(n), (n + 1) // 2), (_path(n), n // 2)):
+                if n <= 16:
+                    assert brute_mvc(g)[0] == want
+                self._solve_both(g, want)
+
+    @pytest.mark.parametrize("lengths", [
+        (1, 1, 1), (1, 2, 3), (2, 2, 2), (0, 1, 2), (2, 3), (4,),
+        (1, 1, 1, 1, 1), (3, 4, 5), (1, 1, 2, 2, 3, 3),
+    ])
+    def test_chains_between_hubs_need_no_bound(self, no_bound, lengths):
+        g = _hub_chains(lengths)
+        self._solve_both(g, brute_mvc(g)[0])
+        assert exact_solve(g, MIS).size == brute_mis(g)
+
+    def test_restricted_subdivided_matches_brute_force(self):
+        # small subdivided graphs, under 17 nodes, with random candidates
+        rng = np.random.default_rng(42)
+        graphs = [g for g in (_subdivided(_gnm(n, int(rng.integers(1, 2 * n + 1)), rng), rng)
+                              for n in rng.integers(2, 7, size=80)) if g.n <= 16]
+        assert len(graphs) > 40
+        for g in graphs:
+            for elig in (None, rng.random(g.n) < 0.6, rng.random(g.n) < 0.85):
+                cand = None if elig is None else Candidates(NodeSet(elig))
+                mvc = exact_solve(g, MVC, cand)
+                mis = exact_solve(g, MIS, cand)
+                assert mvc.optimal and mis.optimal
+                assert (mvc.size, round(coverage(g, mvc) * g.m)) == brute_mvc(g, elig)
+                assert mis.size == brute_mis(g, elig)
+                assert validate_solution(g, mvc).ok and validate_solution(g, mis).ok
+                if elig is not None:
+                    assert not ((mvc.nodes.mask | mis.nodes.mask) & ~elig).any()
+
+
+def _check_cut_short(g, mvc, mis, elig=None):
+    """Full-space results must be a cover and a maximal set; restricted ones
+    cover every edge that touches a candidate, and leave no candidate
+    addable to the set."""
+    assert validate_solution(g, mvc).ok and validate_solution(g, mis).ok
+    if elig is not None:
+        e = g.edge_array()
+        c = mvc.nodes.mask
+        touching = elig[e[:, 0]] | elig[e[:, 1]]
+        assert (c[e[:, 0]] | c[e[:, 1]])[touching].all()
+        s = mis.nodes.mask
+        assert not ((c | s) & ~elig).any()
+        assert not (elig & ~s & (g.count_in_mask(s) == 0)).any()
+
+
+class TestCutShortWithFolds:
+    """A search cut short returns its incumbent, which must be a real cover
+    of the graph even while folds are applied: only a leaf that beats the
+    incumbent unfolds into it."""
+
+    @pytest.mark.parametrize("limit", [1e-4, 1e-3, 3e-3])
+    def test_time_limits(self, limit):
+        rng = np.random.default_rng(7)
+        cut = 0
+        for i in range(6):
+            g = _subdivided(generate_ba(int(rng.integers(150, 300)), 4, i), rng)
+            elig = rng.random(g.n) < 0.7
+            for mask in (None, elig):
+                cand = None if mask is None else Candidates(NodeSet(mask))
+                mvc = exact_solve(g, MVC, cand, time_limit=limit)
+                mis = exact_solve(g, MIS, cand, time_limit=limit)
+                _check_cut_short(g, mvc, mis, mask)
+                cut += (mvc.optimal is False) + (mis.optimal is False)
+        assert cut > 0
+
+    def test_every_cut_point(self, monkeypatch):
+        # a clock that ticks once per read puts the deadline after each read
+        # of the search in turn, from before the greedy incumbent to the end;
+        # subdivided graphs fold without branching, and the G(n, 3n) ones
+        # branch and fold
+        rng = np.random.default_rng(3)
+        graphs = [_family("subdivided")[k] for k in range(0, 65, 8)]
+        graphs += [_subdivided(generate_ba(n, 3, n), rng) for n in (12, 20)]
+        graphs += [_gnm(n, 3 * n, rng) for n in (30, 40, 60)]
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        cuts = improved = 0
+        for g in graphs:
+            elig = rng.random(g.n) < 0.7
+            greedy = greedy_mvc(g).size
+            for mask in (None, elig):
+                cand = None if mask is None else Candidates(NodeSet(mask))
+                for reads in itertools.count():
+                    mvc = exact_solve(g, MVC, cand, time_limit=reads + 0.5)
+                    mis = exact_solve(g, MIS, cand, time_limit=reads + 0.5)
+                    _check_cut_short(g, mvc, mis, mask)
+                    if mvc.optimal and mis.optimal:
+                        break
+                    cuts += 1
+                    # cut after a leaf unfolded into a better incumbent
+                    improved += mask is None and not mvc.optimal and mvc.size < greedy
+        assert cuts > 500 and improved > 100
 
 
 class TestMatchingBound:
@@ -298,6 +472,22 @@ class TestMatchingBound:
             tight += lb == optimum
         # a bound one too high fails on every graph where it is tight
         assert tight > len(graphs) // 2
+
+
+    def test_same_value_as_set_difference_bound(self):
+        # the scan for the lowest-ranked free neighbor picks the node the
+        # set difference did, so every matching, and its size, is the same
+        rng = np.random.default_rng(6)
+        graphs = [_gnm(int(n), int(rng.integers(0, 3 * n + 1)), rng)
+                  for n in rng.integers(1, 60, size=150)]
+        graphs += _family("subdivided", 40)
+        grew = 0
+        for g in graphs:
+            adj = {v: set(nbrs) for v, nbrs in enumerate(g.neighbor_lists())}
+            want = set_difference_matching_lb(adj)
+            assert solvers._matching_lb(adj) == want
+            grew += want > id_order_matching_lb(adj)
+        assert grew > 10  # the augmenting pass ran on some graphs
 
 
 class TestTrees:

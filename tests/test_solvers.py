@@ -21,6 +21,7 @@ from prunesolve.solvers import (
     Candidates,
     Solution,
     _induced,
+    _leaving,
     coverage,
     exact_solve,
     format_solution,
@@ -313,6 +314,24 @@ class TestInduced:
                 lone += int(np.count_nonzero(sub.degrees() == 0))
                 cases += 1
         assert cases > 5 * 200 and lone > 0
+
+    def test_leaving_matches_whole_graph_count(self):
+        # the candidates with a neighbor outside them, from their own rows,
+        # against a neighbor count over the whole graph's adjacency
+        rng = np.random.default_rng(31)
+        cases = hits = 0
+        for name, g in greedy_reference_graphs():
+            masks = [np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool)]
+            masks += [rng.random(g.n) < p for p in (0.1, 0.5, 0.9)]
+            if g.m:
+                masks.append(lone_free_mask(g, rng))
+            for mask in masks:
+                want = mask & (g.count_in_mask(~mask) > 0)
+                got = _leaving(g, mask)
+                assert got.dtype == bool and np.array_equal(got, want), name
+                hits += int(np.count_nonzero(got))
+                cases += 1
+        assert cases > 5 * 200 and hits > 0
 
 
 class TestRestrictedLoneCandidates:
