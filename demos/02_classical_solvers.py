@@ -58,9 +58,11 @@ for problem in ("mvc", "mis"):
     print(f"exact {problem} on a 5-cycle: size {sol.size}, "
           f"optimal {sol.optimal}")
 
-# Every solver also runs restricted to a candidate set. Restricted covers
-# maximize covered edges first, then minimize size; restricted independent
-# sets simply live inside the candidates.
+# Every solver also runs restricted to a candidate set, by one rule. An
+# independent set is the solver's set of the subgraph the candidates induce.
+# A cover takes every candidate with a neighbor outside the candidates, the
+# only way to cover those edges, plus the solver's cover of the subgraph the
+# other candidates induce; so it covers every edge that touches a candidate.
 ba = generate_ba(200, 3, seed=5)
 rng = np.random.default_rng(1)
 cand = Candidates(NodeSet(rng.random(ba.n) < 0.5))

@@ -39,9 +39,11 @@ for note in report.notes:
 # prune_ratio column is the size of that candidate set relative to the graph.
 #
 # On this cover instance the student keeps about 57% of the nodes. A
-# restricted cover is lexicographic (as many edges as the candidates allow,
-# then as few nodes as possible), so coverage drops slightly below 1 (about
-# 0.99) while greedy and local search both finish faster. For independent
+# restricted cover takes the candidates with a neighbor outside the
+# candidates, then the solver's cover of the subgraph the other candidates
+# induce, so it covers every edge with a candidate end: coverage drops
+# slightly below 1 (about 0.99) while greedy and local search both finish
+# faster. For independent
 # sets on BA-10K (train BA-1K, master seed 21) the student keeps about a
 # third of the nodes and both solvers speed up several times at full
 # validity. The acceptance suite pins both behaviors.

@@ -5,13 +5,15 @@ the full search space (all nodes) or a restricted space where only a given
 "good node" subset may enter the solution. Restricted vertex covers may
 legitimately leave some edges uncovered; the coverage metric quantifies that.
 
-Greedy MIS, both local searches and exact MIS restrict a solve one way: the
-full-space algorithm runs on the subgraph the candidates induce (for local
-search MVC, those whose neighbors are all candidates), and :func:`_lift`
-maps its set back. Greedy and exact MVC keep a mask over the whole graph
-instead, because they must cover edges that leave the candidates. Which
-candidates have a neighbor outside the candidates (:func:`_leaving`) is read
-from the candidates' own adjacency rows, the rows :func:`_induced` gathers.
+Each algorithm is written once, for the full space, as a private core that
+maps a graph to a node mask, and :func:`_restrict` alone restricts it, by
+one rule. An independent set is the core's set of the subgraph the
+candidates induce. A vertex cover is the candidates with a neighbor outside
+the candidates, forced in because only they can cover those edges, plus
+the core's cover of the subgraph the other candidates induce. So a
+restricted cover covers every edge that touches a candidate, and a
+restricted set is independent in the whole graph. In full space the
+subgraph is the graph itself and nothing is forced.
 
 The exact solver is a branch and reduce for minimum vertex cover: degree-0,
 degree-1 and degree-2 reductions, the last folding a node and its two
@@ -20,7 +22,7 @@ maximum-degree node, bounded by a matching.
 
 All solvers are deterministic given (graph, candidates), and ties are
 always broken toward the lowest node id. One (1,2)-swap local search serves
-both problems: a vertex cover is the candidates minus an independent set.
+both problems: a vertex cover is the complement of an independent set.
 """
 
 from __future__ import annotations
@@ -209,35 +211,65 @@ def _lift(mask: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _restrict(
+    g: Graph,
+    cand: Candidates | None,
+    problem: str,
+    algorithm: str,
+    full,
+) -> Solution:
+    """Run the full-space core ``full`` (a graph to a node mask) in the
+    space ``cand`` allows, timed: the one restriction rule of every solver.
+
+    An independent set is ``full(sub)`` on the subgraph the candidates
+    induce. A vertex cover is ``forced | full(sub)``, where ``forced`` holds
+    the candidates with a neighbor outside the candidates (:func:`_leaving`)
+    and ``sub`` is the subgraph the other candidates induce. :func:`_lift`
+    maps the mask back to ``g``'s nodes. In full space ``sub`` is ``g``
+    itself, nothing is forced and nothing is gathered.
+    """
+    cand = cand or Candidates()
+    t0 = time.perf_counter()
+    eligible = cand.mask_for(g)
+    forced = _leaving(g, eligible) if problem == MVC else np.zeros(g.n, dtype=bool)
+    sub, ids = _induced(g, eligible & ~forced)
+    return Solution(
+        problem=problem,
+        nodes=NodeSet(forced | _lift(full(sub), ids, g.n)),
+        algorithm=algorithm,
+        runtime=time.perf_counter() - t0,
+        restricted=not cand.is_all,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Greedy
 
 
-def greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
-    """Greedy vertex cover: repeatedly take the eligible node covering the
-    most currently uncovered edges, ties to the lowest id.
+def _greedy_cover(g: Graph) -> np.ndarray:
+    """Greedy vertex cover of ``g``: repeatedly take the node covering the
+    most currently uncovered edges, ties to the lowest id, until every edge
+    is covered.
 
-    Full space stops when every edge is covered; restricted space stops when
-    no eligible node covers any remaining edge. Each eligible node with
-    uncovered edges has one entry in a min-heap of plain ints, ``v - r * n``,
-    which order as (-r, v). Residual degrees only fall, so an entry's r is
-    an upper bound on its node's residual degree. When a popped entry's r is
-    still exact, every other node's true (-degree, id) comes after it, so it
-    is the pick that a heap re-pushed on every decrement would make. A stale
-    entry is pushed back once at its true residual degree, or dropped at 0.
+    Each node with uncovered edges has one entry in a min-heap of plain
+    ints, ``v - r * n``, which order as (-r, v). Residual degrees only fall,
+    so an entry's r is an upper bound on its node's residual degree. When a
+    popped entry's r is still exact, every other node's true (-degree, id)
+    comes after it, so it is the pick that a heap re-pushed on every
+    decrement would make. A stale entry is pushed back once at its true
+    residual degree, or dropped at 0. While an edge is uncovered, its ends
+    hold entries, so the heap is not empty.
     """
-    cand = cand or Candidates()
-    t0 = time.perf_counter()
     n = g.n
     adj = g.neighbor_lists()
     deg = g.degrees()
     in_cover = bytearray(n)
     resid = deg.tolist()
     uncovered = g.m
-    eligible = np.flatnonzero(cand.mask_for(g) & (deg > 0)).tolist()
-    heap = [v - resid[v] * n for v in eligible]
+    linked = np.flatnonzero(deg > 0)
+    heap = (linked - deg[linked] * n).tolist()
     heapq.heapify(heap)
-    while heap and uncovered:
+    while uncovered:
         q, v = divmod(heapq.heappop(heap), n)
         r = resid[v]
         if r != -q:
@@ -250,30 +282,20 @@ def greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
         # read again
         for u in adj[v]:
             resid[u] -= 1
-    return Solution(
-        problem=MVC,
-        nodes=NodeSet(np.frombuffer(in_cover, dtype=bool)),
-        algorithm="greedy",
-        runtime=time.perf_counter() - t0,
-        restricted=not cand.is_all,
-    )
+    return np.frombuffer(in_cover, dtype=bool)
 
 
-def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
-    """Greedy independent set: repeatedly take the minimum-residual-degree
-    node of the pool, ties to the lowest id, and drop it and its neighbors
-    from the pool.
+def _greedy_set(g: Graph) -> np.ndarray:
+    """Greedy independent set of ``g``, maximal: repeatedly take the
+    minimum-residual-degree node of the pool, ties to the lowest id, and
+    drop it and its neighbors from the pool.
 
-    Residual degree counts neighbors still in the pool. The pool starts as
-    the candidate set, so a restricted run only ever sees candidates and is
-    the full-space run on the subgraph they induce, mapped back to ``g``'s
-    nodes (:func:`_induced` keeps their order, so ties break alike). The
-    result is independent with respect to the full edge set and, in
-    full-space mode, maximal. A node of degree 0 in ``sub`` is picked
-    whatever else is picked, and picking it changes no other node's
-    residual degree, so one numpy pass takes every such node before the
-    loop, and the set stays the same; most candidates of a pruned instance
-    are such lone nodes. The loop runs while a count of the pool's nodes is
+    Residual degree counts neighbors still in the pool, which starts as
+    every node. A node of degree 0 is picked whatever else is picked, and
+    picking it changes no other node's residual degree, so one numpy pass
+    takes every such node before the loop, and the set stays the same; most
+    candidates of a pruned instance are such lone nodes in the subgraph
+    they induce. The loop runs while a count of the pool's nodes is
     positive, so no entry left after the last pick is popped.
 
     The min-heap holds plain ints, ``r * n + v`` for residual degree r,
@@ -292,12 +314,9 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
     has already left it: an entry is skipped exactly when its node is out of
     the pool.
     """
-    cand = cand or Candidates()
-    t0 = time.perf_counter()
-    sub, ids = _induced(g, cand.mask_for(g))
-    n = sub.n
-    adj = sub.neighbor_lists()
-    deg = sub.degrees()
+    n = g.n
+    adj = g.neighbor_lists()
+    deg = g.degrees()
     lone = deg == 0
     in_set = bytearray(lone)
     pool = bytearray(~lone)
@@ -328,32 +347,36 @@ def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
                     resid[u] = d
                     if d <= top:
                         heapq.heappush(heap, d * n + u)
-    return Solution(
-        problem=MIS,
-        nodes=NodeSet(_lift(np.frombuffer(in_set, dtype=bool), ids, g.n)),
-        algorithm="greedy",
-        runtime=time.perf_counter() - t0,
-        restricted=not cand.is_all,
-    )
+    return np.frombuffer(in_set, dtype=bool)
+
+
+def greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Greedy vertex cover (:func:`_greedy_cover`), restricted to ``cand``
+    by :func:`_restrict`."""
+    return _restrict(g, cand, MVC, "greedy", _greedy_cover)
+
+
+def greedy_mis(g: Graph, cand: Candidates | None = None) -> Solution:
+    """Greedy independent set (:func:`_greedy_set`), restricted to ``cand``
+    by :func:`_restrict`."""
+    return _restrict(g, cand, MIS, "greedy", _greedy_set)
 
 
 # ---------------------------------------------------------------------------
 # Local search
 
 
-def _swap_search(g: Graph, deg: np.ndarray) -> np.ndarray:
-    """The one local search behind both problems: an independent set of
-    ``g``, as a mask.
+def _swap_search(g: Graph) -> np.ndarray:
+    """The one local search behind both problems: a maximal independent set
+    of ``g``, as a mask.
 
-    The start takes each node by ascending ``deg``, ties to the lower id,
-    unless a neighbor is taken already. A restricted solve runs this on
-    :func:`_induced`'s subgraph and passes the nodes' degrees in the whole
-    graph, so the start keeps that graph's order. A node with no neighbor is
-    always taken and knocks out nothing, so only the nodes with one are
-    sorted and visited; then (1,2)-swaps run until none applies. A swap
-    replaces a solution node v by two of its non-adjacent one-tight
-    neighbors (nodes whose single solution neighbor is v): the first such
-    pair in adjacency order. First improvement over a min-heap worklist of
+    The start takes each node by ascending degree, ties to the lower id,
+    unless a neighbor is taken already. A node with no neighbor is always
+    taken and knocks out nothing, so only the nodes with one are sorted and
+    visited; then (1,2)-swaps run until none applies. A swap replaces a
+    solution node v by two of its non-adjacent one-tight neighbors (nodes
+    whose single solution neighbor is v): the first such pair in
+    adjacency order. First improvement over a min-heap worklist of
     "dirty" solution nodes; every solution node off the worklist has no
     swap. The smallest dirty node is popped and either swaps or becomes
     clean, so each swap is made at the smallest solution node that has one,
@@ -365,9 +388,10 @@ def _swap_search(g: Graph, deg: np.ndarray) -> np.ndarray:
     neighbors of every node whose one-tight status changed.
     """
     in_s = np.ones(g.n, dtype=bool)
-    # nodes with a neighbor; a stable sort of their deg over ascending ids
-    # keeps the (deg, id) order
-    linked = np.flatnonzero(g.degrees() > 0)
+    # nodes with a neighbor; a stable sort of their degrees over ascending
+    # ids keeps the (degree, id) order
+    deg = g.degrees()
+    linked = np.flatnonzero(deg > 0)
     for v in linked[np.argsort(deg[linked], kind="stable")].tolist():
         if in_s[v]:  # taken
             in_s[g.neighbors(v)] = False
@@ -430,45 +454,17 @@ def _swap_search(g: Graph, deg: np.ndarray) -> np.ndarray:
 
 
 def local_search_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
-    """Local search for vertex cover: the candidates minus the
-    :func:`_swap_search` independent set of the subgraph induced by the
-    candidates whose neighbors are all candidates.
-
-    A set covers every edge exactly when its complement is independent, so
-    the removed set leaves every edge between two candidates covered, and a
-    candidate with a neighbor outside the candidates is never removed. In
-    full space every node is eligible and the removed set is maximal, so the
-    result is a cover with no removable node; a (1,2)-swap of the set is a
-    (2,1)-move of the cover. A restricted start that is not a cover stays
-    that way.
-    """
-    cand = cand or Candidates()
-    t0 = time.perf_counter()
-    eligible = cand.mask_for(g)
-    sub, ids = _induced(g, eligible & ~_leaving(g, eligible))
-    removed = _lift(_swap_search(sub, g.degrees()[ids]), ids, g.n)
-    return Solution(
-        problem=MVC,
-        nodes=NodeSet(eligible & ~removed),
-        algorithm="local-search",
-        runtime=time.perf_counter() - t0,
-        restricted=not cand.is_all,
-    )
+    """Local search for vertex cover, restricted to ``cand`` by
+    :func:`_restrict`: the complement of the :func:`_swap_search` set, a
+    cover with no removable node. A (1,2)-swap of the set is a (2,1)-move
+    of the cover."""
+    return _restrict(g, cand, MVC, "local-search", lambda sub: ~_swap_search(sub))
 
 
 def local_search_mis(g: Graph, cand: Candidates | None = None) -> Solution:
-    """Local search for independent set: the :func:`_swap_search` set of the
-    subgraph the candidates induce, maximal in full space."""
-    cand = cand or Candidates()
-    t0 = time.perf_counter()
-    sub, ids = _induced(g, cand.mask_for(g))
-    return Solution(
-        problem=MIS,
-        nodes=NodeSet(_lift(_swap_search(sub, g.degrees()[ids]), ids, g.n)),
-        algorithm="local-search",
-        runtime=time.perf_counter() - t0,
-        restricted=not cand.is_all,
-    )
+    """Local search for independent set (:func:`_swap_search`), restricted
+    to ``cand`` by :func:`_restrict`."""
+    return _restrict(g, cand, MIS, "local-search", _swap_search)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +537,7 @@ def _bb_mvc(sub: Graph, deadline: float) -> tuple[set[int], bool]:
     """Branch and reduce for minimum vertex cover, depth first over an
     explicit stack.
 
-    The incumbent starts as :func:`greedy_mvc`'s cover. A stack frame is
+    The incumbent starts as :func:`_greedy_cover`'s cover. A stack frame is
     (undo mark, chosen mark, fold mark, nodes to take into the cover):
     popping it rewinds the undo trail, ``chosen`` and ``folds`` to its marks
     and takes its nodes; then the reductions, the leaf check and the
@@ -578,7 +574,7 @@ def _bb_mvc(sub: Graph, deadline: float) -> tuple[set[int], bool]:
     incumbents, and the returned cover, are those of the unbounded search:
     a stronger bound changes only how many nodes are visited.
     """
-    best = set(greedy_mvc(sub).nodes.ids().tolist())
+    best = set(np.flatnonzero(_greedy_cover(sub)).tolist())
     best_size = len(best)
     adj = {v: set(nbrs) for v, nbrs in enumerate(sub.neighbor_lists())}
     chosen: list[int] = []
@@ -690,8 +686,8 @@ def exact_solve(
     cand: Candidates | None = None,
     time_limit: float = TIME_LIMIT,
 ) -> Solution:
-    """Exact branch-and-reduce solve: one minimum vertex cover search serves
-    both problems.
+    """Exact branch-and-reduce solve, restricted to ``cand`` by
+    :func:`_restrict`: one minimum vertex cover search serves both problems.
 
     The search (:func:`_bb_mvc`) is a depth-first loop over an explicit
     stack, seeded with the greedy cover as its incumbent, so it neither
@@ -706,63 +702,40 @@ def exact_solve(
     only on the current graph, so the bound decides only how much is
     searched, never which cover is returned. Only a leaf that beats the
     incumbent unfolds its merged nodes, so every incumbent is a cover of
-    the searched graph. Restricted vertex cover is lexicographic: cover
-    every edge touching a candidate, then minimize solution size. An
-    independent set is the complement of a minimum vertex cover of the
-    candidate-induced subgraph (all of the graph in full space), mapped
-    back to ``g``.
+    the searched graph. An independent set is the complement of a minimum
+    vertex cover.
 
     On timeout the best incumbent found so far is returned with
     ``optimal=False``; an independent set is then topped up with the
-    subgraph's free nodes so that a full-space result stays maximal.
+    graph's free nodes so that a full-space result stays maximal.
     """
     if not time_limit > 0:  # NaN too: no time would ever pass it
         raise ValueError("time_limit must be positive")
     problem = _norm_problem(problem)
-    cand = cand or Candidates()
-    t0 = time.perf_counter()
-    deadline = t0 + time_limit
-    eligible = cand.mask_for(g)
-    restricted = not cand.is_all
+    deadline = time.perf_counter() + time_limit
+    optimal = False
 
-    if problem == MVC:
-        # a candidate with a neighbor outside the candidates is the only way
-        # to cover that edge, so it is forced in (none in full space)
-        in_cover = _leaving(g, eligible)
-        sub, ids = _induced(g, eligible & ~in_cover)
+    def search(sub: Graph) -> np.ndarray:
+        nonlocal optimal
         cover, optimal = _bb_mvc(sub, deadline)
-        in_cover[ids[list(cover)]] = True
-        return Solution(
-            problem=MVC,
-            nodes=NodeSet(in_cover),
-            algorithm="exact",
-            runtime=time.perf_counter() - t0,
-            optimal=optimal,
-            restricted=restricted,
-        )
-    # inside the candidate-induced subgraph, a maximum independent set is the
-    # complement of a minimum vertex cover
-    sub, ids = _induced(g, eligible)
-    cover, optimal = _bb_mvc(sub, deadline)
-    in_set = np.ones(sub.n, dtype=bool)
-    in_set[list(cover)] = False
-    # a timed-out cover need not be minimal, so its complement need not be
-    # maximal; additions only tighten, so one ascending pass with an inline
-    # recheck adds every free node (none when optimal)
-    free = np.flatnonzero(~in_set & (sub.count_in_mask(in_set) == 0)).tolist()
-    if free:
-        adj = sub.neighbor_lists()  # cached by _bb_mvc
-        for v in free:
-            if not any(in_set[u] for u in adj[v]):
-                in_set[v] = True
-    return Solution(
-        problem=MIS,
-        nodes=NodeSet(_lift(in_set, ids, g.n)),
-        algorithm="exact",
-        runtime=time.perf_counter() - t0,
-        optimal=optimal,
-        restricted=restricted,
-    )
+        in_set = np.ones(sub.n, dtype=bool)
+        in_set[list(cover)] = False
+        if problem == MVC:
+            return ~in_set
+        # a timed-out cover need not be minimal, so its complement need not
+        # be maximal; additions only tighten, so one ascending pass with an
+        # inline recheck adds every free node (none when optimal)
+        free = np.flatnonzero(~in_set & (sub.count_in_mask(in_set) == 0)).tolist()
+        if free:
+            adj = sub.neighbor_lists()  # cached by _bb_mvc
+            for v in free:
+                if not any(in_set[u] for u in adj[v]):
+                    in_set[v] = True
+        return in_set
+
+    s = _restrict(g, cand, problem, "exact", search)
+    s.optimal = optimal
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ builds neighbour lists with a lexsort; they check the loader, its numpy
 pass over plain files and its line loop over any other, and ``Graph``. ``restart_scan_local_search_mis`` is the (1,2)-swap local search
 that rescans the whole solution after every swap; it checks the worklist
 version in the package. ``degree_order_start`` is the start both versions
-make, written independently of the package's. ``drop_sweep_local_search_mvc``
+make, written independently of the package's. Both, and
+``heap_greedy_mvc``, search the full space only: the tests restrict them
+by the package's one rule, on ``edge_array_induced``'s subgraph. ``drop_sweep_local_search_mvc``
 is the vertex-cover local search as it was, a sweep that drops each node
 whose neighbors are all inside; the package's cover, the complement of a
 swapped independent set, must cover the same edges and be no larger.
@@ -152,11 +154,11 @@ def brute_csr(n, edges):
     return offsets, targets
 
 
-def degree_order_start(g: Graph, good: np.ndarray) -> np.ndarray:
-    """The local searches' start: each candidate, by ascending degree with
-    ties to the lower id, joins the set unless a neighbor already has."""
+def degree_order_start(g: Graph) -> np.ndarray:
+    """The local searches' start: each node, by ascending degree with ties
+    to the lower id, joins the set unless a neighbor already has."""
     in_s = np.zeros(g.n, dtype=bool)
-    for v in sorted(np.flatnonzero(good).tolist(), key=lambda u: (g.degree(u), u)):
+    for v in sorted(range(g.n), key=lambda u: (g.degree(u), u)):
         if not in_s[g.neighbors(v)].any():
             in_s[v] = True
     return in_s
@@ -186,7 +188,7 @@ def drop_sweep_local_search_mvc(g: Graph, cand: Candidates | None = None) -> Sol
     )
 
 
-def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None) -> Solution:
+def restart_scan_local_search_mis(g: Graph) -> Solution:
     """Local search for independent set: the degree-ordered greedy start of
     :func:`degree_order_start`, then (1,2)-swaps until none applies.
 
@@ -195,57 +197,28 @@ def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None) -> S
     solution nodes are scanned in ascending order and the scan restarts after
     every swap; tightness is recomputed from the current solution at each
     restart. A swap can leave some third neighbor of v with no solution
-    neighbor at all, so after each swap freed candidate nodes are re-added
-    (ascending), which keeps full-space outputs maximal. In restricted mode
-    only candidate nodes may enter, whether by swap or by re-add.
+    neighbor at all, so after each swap freed nodes are re-added
+    (ascending), which keeps the output maximal. A restricted search is this
+    one on the subgraph the candidates induce.
     """
-    cand = cand or Candidates()
     t0 = time.perf_counter()
-    good = cand.mask_for(g)
-    in_s = degree_order_start(g, good)
-
-    # tightness and swap-candidate counts are only ever read at candidate
-    # nodes, so count over the candidate adjacency rows alone
-    good_ids = np.flatnonzero(good)
-    seg_len = g.degrees()[good_ids]
-    if len(good_ids):
-        seg_starts = np.concatenate([[0], np.cumsum(seg_len)[:-1]])
-        starts = g.offsets[good_ids]
-        total = int(seg_len.sum())
-        within = np.arange(total) - np.repeat(seg_starts, seg_len)
-        good_rows = g.targets[np.repeat(starts, seg_len) + within]
-    else:
-        seg_starts = np.empty(0, dtype=np.int64)
-        good_rows = np.empty(0, dtype=g.targets.dtype)
-
-    def good_neighbor_counts(mask: np.ndarray) -> np.ndarray:
-        out = np.zeros(g.n, dtype=np.int64)
-        if len(good_ids) and len(good_rows):
-            hits = mask[good_rows].astype(np.int64)
-            nonempty = seg_len > 0
-            sums = np.zeros(len(good_ids), dtype=np.int64)
-            if nonempty.any():
-                sums[nonempty] = np.add.reduceat(hits, seg_starts[nonempty])
-            out[good_ids] = sums
-        return out
-
-    tight = good_neighbor_counts(in_s)
+    in_s = degree_order_start(g)
+    tight = g.count_in_mask(in_s)
 
     def add_free_nodes() -> None:
         # additions only tighten, so one ascending pass with an inline
         # recheck cannot miss a free node
-        for u in np.flatnonzero(good & ~in_s & (tight == 0)):
+        for u in np.flatnonzero(~in_s & (tight == 0)):
             if not in_s[u] and tight[u] == 0:
                 in_s[u] = True
-                nu = g.neighbors(u)
-                tight[nu[good[nu]]] += 1
+                tight[g.neighbors(u)] += 1
 
     improved = True
     while improved:
         improved = False
-        # one-tight candidate nodes that could swap in
-        swap_in = good & ~in_s & (tight == 1)
-        cnt = good_neighbor_counts(swap_in)
+        # one-tight nodes that could swap in
+        swap_in = ~in_s & (tight == 1)
+        cnt = g.count_in_mask(swap_in)
         # a swap needs two such neighbors, so other solution nodes are
         # skipped without changing which improvement fires first
         for v in np.flatnonzero(in_s & (cnt >= 2)):
@@ -265,11 +238,9 @@ def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None) -> S
                 in_s[i] = True
                 in_s[j] = True
                 # incremental tightness update, identical to a recount
-                nv = g.neighbors(v)
-                tight[nv[good[nv]]] -= 1
+                tight[g.neighbors(v)] -= 1
                 for w in (i, j):
-                    nw = g.neighbors(w)
-                    tight[nw[good[nw]]] += 1
+                    tight[g.neighbors(w)] += 1
                 add_free_nodes()
                 improved = True
                 break
@@ -278,7 +249,6 @@ def restart_scan_local_search_mis(g: Graph, cand: Candidates | None = None) -> S
         nodes=NodeSet(in_s),
         algorithm="local-search",
         runtime=time.perf_counter() - t0,
-        restricted=not cand.is_all,
     )
 
 
@@ -293,42 +263,33 @@ def edge_array_induced(g: Graph, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
     return Graph(len(ids), new[e[mask[e[:, 0]] & mask[e[:, 1]]]]), ids
 
 
-def heap_greedy_mvc(g: Graph, cand: Candidates | None = None) -> Solution:
-    """Greedy vertex cover: repeatedly take the eligible node covering the
-    most currently uncovered edges.
-
-    Full space stops when every edge is covered; restricted space stops when
-    no eligible node covers any remaining edge. Residual degrees are kept
-    incrementally in a lazy max-heap.
-    """
-    cand = cand or Candidates()
+def heap_greedy_mvc(g: Graph) -> Solution:
+    """Greedy vertex cover: repeatedly take the node covering the most
+    currently uncovered edges, until every edge is covered. Residual degrees
+    are kept incrementally in a lazy max-heap. A restricted cover is this
+    one on a subgraph, plus the forced candidates."""
     t0 = time.perf_counter()
-    eligible = cand.mask_for(g)
     in_cover = np.zeros(g.n, dtype=bool)
     resid = g.degrees().astype(np.int64).copy()
     uncovered = g.m
-    heap = [(-int(resid[v]), int(v)) for v in np.flatnonzero(eligible & (resid > 0))]
+    heap = [(-int(resid[v]), int(v)) for v in np.flatnonzero(resid > 0)]
     heapq.heapify(heap)
-    while heap and uncovered:
+    while uncovered:
         negd, v = heapq.heappop(heap)
         if in_cover[v] or resid[v] != -negd:
             continue
-        if negd == 0:
-            break
         in_cover[v] = True
         uncovered -= int(resid[v])
         nbrs = g.neighbors(v)
         alive = nbrs[~in_cover[nbrs]]
         resid[alive] -= 1
         for u in alive:
-            if eligible[u]:
-                heapq.heappush(heap, (-int(resid[u]), int(u)))
+            heapq.heappush(heap, (-int(resid[u]), int(u)))
     return Solution(
         problem=MVC,
         nodes=NodeSet(in_cover),
         algorithm="greedy",
         runtime=time.perf_counter() - t0,
-        restricted=not cand.is_all,
     )
 
 

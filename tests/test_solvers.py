@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _brute import (
+    brute_mvc,
     degree_order_start,
     drop_sweep_local_search_mvc,
     edge_array_induced,
@@ -42,6 +43,36 @@ def mvc_solution(g, ids, algorithm="greedy", restricted=False):
 def mis_solution(g, ids, restricted=False):
     return Solution(MIS, NodeSet.from_ids(ids, g.n), "greedy", 0.0,
                     restricted=restricted)
+
+
+def by_rule(reference, problem):
+    """The restricted form of the full-space ``reference`` (a graph to a
+    ``Solution``) by the package's one restriction rule: ``forced |
+    lift(reference(sub))``. ``forced`` holds the candidates with a neighbor
+    outside the candidates for MVC, and none for MIS; ``sub`` is the
+    edge-array filter's subgraph of the other candidates. In full space the
+    reference runs on the graph itself."""
+
+    def restricted(g, cand=None):
+        cand = cand or Candidates()
+        if cand.is_all:
+            return reference(g)
+        eligible = cand.mask_for(g)
+        forced = np.zeros(g.n, dtype=bool)
+        if problem == MVC:
+            forced = eligible & (g.count_in_mask(~eligible) > 0)
+        sub, ids = edge_array_induced(g, eligible & ~forced)
+        nodes = forced.copy()
+        nodes[ids[reference(sub).nodes.mask]] = True
+        return Solution(problem, NodeSet(nodes), "reference", 0.0, restricted=True)
+
+    return restricted
+
+
+def restart_scan_local_search_mvc(g):
+    """The complement of the restart-scan independent set: a cover."""
+    return Solution(MVC, NodeSet(~restart_scan_local_search_mis(g).nodes.mask),
+                    "local-search", 0.0)
 
 
 def gnm_graph(n, m, seed):
@@ -240,7 +271,7 @@ def greedy_reference_spaces(g, rng):
 
 class TestGreedyMatchesHeapReference:
     @pytest.mark.parametrize("solver, reference", [
-        (greedy_mvc, heap_greedy_mvc), (greedy_mis, heap_greedy_mis),
+        (greedy_mvc, by_rule(heap_greedy_mvc, MVC)), (greedy_mis, heap_greedy_mis),
     ], ids=["mvc", "mis"])
     def test_same_sets_as_tuple_heap(self, solver, reference):
         rng = np.random.default_rng(5)
@@ -335,8 +366,9 @@ class TestInduced:
 
 
 class TestRestrictedLoneCandidates:
-    """Restricted greedy and local search against their references on
-    BA-2000 candidate sets made mostly of lone nodes, or of none."""
+    """Restricted greedy and local search against their full-space
+    references restricted by the rule, on BA-2000 candidate sets made mostly
+    of lone nodes, or of none."""
 
     G = generate_ba(2000, 4, 6)
 
@@ -352,7 +384,7 @@ class TestRestrictedLoneCandidates:
         for solver, reference in ((greedy_mis, heap_greedy_mis),
                                   (local_search_mis, restart_scan_local_search_mis)):
             got = solver(g, cand)
-            want = reference(g, cand)
+            want = by_rule(reference, MIS)(g, cand)
             assert got.nodes == want.nodes, solver.__name__
             assert got.restricted and want.restricted
 
@@ -423,10 +455,10 @@ class TestLocalSearchMvc:
         assert smaller >= len(spaces) // 10, (smaller, len(spaces))
 
     def test_candidates_minus_restart_scan_mis_of_inner_candidates(self):
-        # the cover is the candidates minus the reference MIS of those whose
-        # neighbors are all candidates, which starts by their degrees in the
-        # whole graph: the restart-scan reference spaces, then each of their
-        # graphs with random 70% and 90% masks
+        # the cover is the candidates minus the reference MIS of the subgraph
+        # induced by those whose neighbors are all candidates: the
+        # restart-scan reference spaces, then each of their graphs with
+        # random 70% and 90% masks
         rng = np.random.default_rng(29)
         spaces = []
         for kind in REFERENCE_KINDS:
@@ -437,9 +469,11 @@ class TestLocalSearchMvc:
                     spaces += [(g, rng.random(n) < frac) for _ in range(5)]
         for g, eligible in spaces:
             inner = eligible & (g.count_in_mask(~eligible) == 0)
-            want = restart_scan_local_search_mis(g, Candidates(NodeSet(inner)))
+            sub, ids = edge_array_induced(g, inner)
+            removed = np.zeros(g.n, dtype=bool)
+            removed[ids[restart_scan_local_search_mis(sub).nodes.mask]] = True
             got = local_search_mvc(g, Candidates(NodeSet(eligible)))
-            assert np.array_equal(got.nodes.mask, eligible & ~want.nodes.mask)
+            assert np.array_equal(got.nodes.mask, eligible & ~removed)
 
     def test_full_space_complement_has_no_swap(self):
         # brute force: the complement is independent and maximal, and no
@@ -496,7 +530,7 @@ class TestLocalSearchMis:
         # keeps out: degree order starts {1, 4}, and only a (1,2)-swap of
         # the middle for the endpoints reaches the optimum
         g = graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
-        assert np.flatnonzero(degree_order_start(g, np.ones(5, bool))).tolist() == [1, 4]
+        assert np.flatnonzero(degree_order_start(g)).tolist() == [1, 4]
         assert local_search_mis(g).nodes.ids().tolist() == [2, 3, 4]
 
     def test_triangle_no_swap_possible(self, triangle):
@@ -514,7 +548,7 @@ class TestLocalSearchMis:
         # gives the unique optimum.
         g = graph_from_edges(7, [(0, 1), (0, 2), (0, 6), (1, 4), (1, 5), (2, 4),
                                  (2, 5), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)])
-        assert np.flatnonzero(degree_order_start(g, np.ones(7, bool))).tolist() == [0, 3]
+        assert np.flatnonzero(degree_order_start(g)).tolist() == [0, 3]
         s = local_search_mis(g)
         assert s.nodes.ids().tolist() == [1, 2, 3, 6]
         assert s.nodes == restart_scan_local_search_mis(g).nodes
@@ -546,7 +580,7 @@ class TestLocalSearchMis:
             (0, 4), (0, 5), (1, 6), (1, 7), (1, 9), (2, 4), (2, 8), (2, 10),
             (3, 6), (3, 7), (3, 10), (4, 8), (5, 6), (5, 7), (5, 8), (5, 9),
             (5, 10)])
-        start = degree_order_start(g, np.ones(11, bool))
+        start = degree_order_start(g)
         assert np.flatnonzero(start).tolist() == [0, 2, 3, 9]
         s = local_search_mis(g)
         assert s.nodes.ids().tolist() == [0, 6, 7, 8, 9, 10]
@@ -555,20 +589,59 @@ class TestLocalSearchMis:
     @pytest.mark.parametrize("kind", REFERENCE_KINDS)
     @pytest.mark.parametrize("n", REFERENCE_SIZES)
     def test_matches_restart_scan_reference(self, kind, n):
-        for g, cand in reference_spaces(kind, n):
-            got = local_search_mis(g, cand)
-            want = restart_scan_local_search_mis(g, cand)
-            assert got.nodes == want.nodes, (kind, n)
-            assert got.restricted == want.restricted
+        # full space; the restricted spaces are TestRestrictionRule's
+        g, cand = next(reference_spaces(kind, n))
+        got = local_search_mis(g, cand)
+        want = restart_scan_local_search_mis(g)
+        assert got.nodes == want.nodes, (kind, n)
+        assert got.restricted == want.restricted
 
     def test_reference_cases_swap(self):
-        # the differential test above only means something if its 80 cases
-        # swap: with no swap, the result is the start
-        swapped = [not np.array_equal(local_search_mis(g, cand).nodes.mask,
-                                      degree_order_start(g, cand.mask_for(g)))
-                   for kind in REFERENCE_KINDS for n in REFERENCE_SIZES
-                   for g, cand in reference_spaces(kind, n)]
+        # the differential tests of this class and TestRestrictionRule only
+        # mean something if their 80 cases swap: with no swap, the result is
+        # the start on the candidates' subgraph
+        swapped = []
+        for kind in REFERENCE_KINDS:
+            for n in REFERENCE_SIZES:
+                for g, cand in reference_spaces(kind, n):
+                    sub, ids = edge_array_induced(g, cand.mask_for(g))
+                    start = np.zeros(g.n, dtype=bool)
+                    start[ids[degree_order_start(sub)]] = True
+                    got = local_search_mis(g, cand).nodes.mask
+                    swapped.append(not np.array_equal(got, start))
         assert len(swapped) == 80 and sum(swapped) >= len(swapped) // 3, sum(swapped)
+
+
+RULE_CASES = {
+    "greedy-mvc": (greedy_mvc, by_rule(heap_greedy_mvc, MVC)),
+    "greedy-mis": (greedy_mis, by_rule(heap_greedy_mis, MIS)),
+    "local-search-mvc": (local_search_mvc, by_rule(restart_scan_local_search_mvc, MVC)),
+    "local-search-mis": (local_search_mis, by_rule(restart_scan_local_search_mis, MIS)),
+}
+
+
+class TestRestrictionRule:
+    @pytest.mark.parametrize("kind", REFERENCE_KINDS)
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
+    @pytest.mark.parametrize("name", RULE_CASES)
+    def test_restricted_is_full_space_reference_on_subgraph(self, name, n, kind):
+        # every restricted greedy and local-search solve is the full-space
+        # reference on the subgraph of the candidates, lifted, plus for MVC
+        # the candidates with an outside neighbor; a cover keeps the most
+        # coverage the candidates allow, which brute force gives when small
+        solver, reference = RULE_CASES[name]
+        for g, cand in reference_spaces(kind, n):
+            if cand.is_all:
+                continue
+            got = solver(g, cand)
+            want = reference(g, cand)
+            assert got.nodes == want.nodes, (name, kind, n)
+            assert got.restricted and want.restricted
+            assert not (got.nodes.mask & ~cand.good.mask).any()
+            if got.problem == MVC and g.n <= 12:
+                assert coverage(g, got) == brute_mvc(g, cand.good.mask)[1] / g.m
+            if got.problem == MIS:
+                assert validate_solution(g, got).ok
 
 
 class TestCrossSolverProperties:
