@@ -9,11 +9,12 @@ field against PipelineConfig (see bench.config_from_dict).
 
 Exit codes: 0 success; 1 usage problems (bad flags, any bad option value
 from a flag or config file, malformed or missing config, unreadable or
-malformed input files, candidate ids outside the graph, labels for another
-node count than the graph's), the option values among them found before
-any input is read or model trained; 2 failures while computing or writing
-results. Output paths default into $PRUNESOLVE_OUT_DIR (current directory
-if unset).
+malformed input files, parameter archives that cannot score the graph's
+nodes, candidate ids outside the graph, labels for another node count than
+the graph's), the option values among them found before any input is read
+or model trained, the archives before any inference or training; 2
+failures while computing or writing results. Output paths default into
+$PRUNESOLVE_OUT_DIR (current directory if unset).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .training import (
     TeacherConfig,
     boost_weights,
     default_student_dims,
+    degree_features,
     generate_labels,
     load_labels,
     predict_good_nodes,
@@ -199,6 +201,17 @@ def _read_graph_and_labels(args):
     return g, ls
 
 
+def _read_params(path, g):
+    """A parameter archive whose input layer takes the degree features of
+    ``g``, so that it can score g's nodes."""
+    params = _read(gcn.load_params, path, "parameter")
+    width = degree_features(g).shape[1]
+    if params.dims[0] != width:
+        raise UsageError(f"parameter file {path}: input layer takes {params.dims[0]} "
+                         f"features, the degree features are {width} wide")
+    return params
+
+
 def _read_candidates(path, n: int) -> Candidates:
     """Read a good-node file: one node id per line, in the edge-list format."""
     if path == "all":
@@ -267,7 +280,7 @@ def _cmd_train_student(args) -> int:
                    lr=args.lr, dropout=args.dropout, kd_weight=args.kd_weight,
                    temperature=args.temperature, seed=args.seed)
     g, ls = _read_graph_and_labels(args)
-    teacher = _read(gcn.load_params, args.teacher, "parameter")
+    teacher = _read_params(args.teacher, g)
     bw = boost_weights(teacher, g, ls) if args.boost else None
     result = train_student(g, ls, teacher, bw, cfg)
     gcn.save_params(result.params, args.out_params, seed=cfg.seed)
@@ -281,7 +294,7 @@ def _cmd_train_student(args) -> int:
 def _cmd_prune(args) -> int:
     _require(args, "params", "graph")
     g = _read(load_edge_list, args.graph, "graph").graph
-    params = _read(gcn.load_params, args.params, "parameter")
+    params = _read_params(args.params, g)
     good = predict_good_nodes(params, g)
     _write_good_nodes(good, args.out)
     print(f"wrote {args.out} ({good.size}/{g.n} good nodes)")

@@ -9,7 +9,10 @@ let the network express a threshold, which a bias-free relu network,
 positively homogeneous in its input, cannot. Forward passes in training
 mode keep every intermediate needed by :func:`backward`; the optimizer
 mutates parameters in place and bumps a version counter so stale caches
-are rejected instead of silently producing wrong gradients.
+are rejected instead of silently producing wrong gradients. One layout
+holds everything shaped like the model: :class:`GcnParams` stores the
+weights, and also the gradients :func:`backward` returns and Adam's two
+moments, so the optimizer runs one loop over :meth:`GcnParams.arrays`.
 
 Losses are sums (not means) over the nodes they are evaluated on, and each
 loss returns its gradient with respect to the logits so callers can combine
@@ -57,7 +60,7 @@ class GcnParams:
             if a.shape[1] != b.shape[0]:
                 raise ValueError("consecutive layer shapes do not chain")
         if self.bias is None:
-            self.bias = _zero_biases(self.w_self)
+            self.bias = [np.zeros(w.shape[1]) for w in self.w_self]
         if [b.shape for b in self.bias] != [(w.shape[1],) for w in self.w_self]:
             raise ValueError("need one bias vector per layer, sized to its output")
 
@@ -69,20 +72,24 @@ class GcnParams:
     def n_layers(self) -> int:
         return len(self.w_self)
 
+    def arrays(self) -> list[np.ndarray]:
+        """Every array: the self weights, then the neighbor weights, then the
+        biases. They are the stored objects, so in-place updates land here."""
+        return self.w_self + self.w_neigh + self.bias
+
+    def map(self, fn) -> "GcnParams":
+        """``fn`` of every array, in the same layout, at version 0."""
+        out = [fn(a) for a in self.arrays()]
+        k = self.n_layers
+        return GcnParams(out[:k], out[k:2 * k], out[2 * k:])
+
     def param_count(self) -> int:
-        return sum(w.size for w in self.w_self + self.w_neigh + self.bias)
+        return sum(a.size for a in self.arrays())
 
     def copy(self) -> "GcnParams":
-        return GcnParams(
-            [w.copy() for w in self.w_self],
-            [w.copy() for w in self.w_neigh],
-            [b.copy() for b in self.bias],
-            self.version,
-        )
-
-
-def _zero_biases(w_self: list[np.ndarray]) -> list[np.ndarray]:
-    return [np.zeros(w.shape[1]) for w in w_self]
+        out = self.map(np.copy)
+        out.version = self.version
+        return out
 
 
 def init_params(dims, seed: int) -> GcnParams:
@@ -212,23 +219,10 @@ def forward_train(g: Graph, params: GcnParams, x: np.ndarray,
     return _run_forward(g, params, x, dropout_rate, rng)
 
 
-@dataclass
-class Grads:
-    """Loss gradients shaped like :class:`GcnParams`; ``bias=None`` means
-    zero bias gradients."""
-
-    w_self: list[np.ndarray]
-    w_neigh: list[np.ndarray]
-    bias: list[np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.bias is None:
-            self.bias = _zero_biases(self.w_self)
-
-
 def backward(g: Graph, params: GcnParams, cache: ForwardCache,
-             grad_logits: np.ndarray) -> Grads:
-    """Gradients of a scalar loss with respect to every weight and bias.
+             grad_logits: np.ndarray) -> GcnParams:
+    """Gradients of a scalar loss with respect to every weight and bias, as
+    a :class:`GcnParams` of the model's shapes.
 
     ``grad_logits`` is the loss gradient at the final pre-activations. The
     mean operator D^-1 A is not symmetric, so aggregation backpropagates
@@ -257,7 +251,7 @@ def backward(g: Graph, params: GcnParams, cache: ForwardCache,
         if scale is not None:
             grad_h = grad_h * scale
         grad_z = grad_h * (cache.prez[k - 1] > 0.0)
-    return Grads(g_self, g_neigh, g_bias)
+    return GcnParams(g_self, g_neigh, g_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -322,48 +316,33 @@ def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per weight matrix and
-    bias vector."""
+    """First and second moments, each a :class:`GcnParams` shaped like the
+    model, and the number of steps taken."""
 
-    m_self: list[np.ndarray]
-    v_self: list[np.ndarray]
-    m_neigh: list[np.ndarray]
-    v_neigh: list[np.ndarray]
-    m_bias: list[np.ndarray]
-    v_bias: list[np.ndarray]
+    m: GcnParams
+    v: GcnParams
     step: int = 0
 
 
 def adam_init(params: GcnParams) -> AdamState:
-    return AdamState(
-        [np.zeros_like(w) for w in params.w_self],
-        [np.zeros_like(w) for w in params.w_self],
-        [np.zeros_like(w) for w in params.w_neigh],
-        [np.zeros_like(w) for w in params.w_neigh],
-        [np.zeros_like(b) for b in params.bias],
-        [np.zeros_like(b) for b in params.bias],
-    )
+    return AdamState(params.map(np.zeros_like), params.map(np.zeros_like))
 
 
-def adam_step(params: GcnParams, grads: Grads, state: AdamState,
+def adam_step(params: GcnParams, grads: GcnParams, state: AdamState,
               lr: float) -> None:
-    """One Adam update, in place; invalidates outstanding forward caches."""
+    """One Adam update of every array, in place, from gradients shaped like
+    ``params``; invalidates outstanding forward caches."""
     state.step += 1
     t = state.step
-    groups = (
-        (params.w_self, grads.w_self, state.m_self, state.v_self),
-        (params.w_neigh, grads.w_neigh, state.m_neigh, state.v_neigh),
-        (params.bias, grads.bias, state.m_bias, state.v_bias),
-    )
-    for ws, gs, ms, vs in groups:
-        for w, gr, m, v in zip(ws, gs, ms, vs):
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * gr
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * gr * gr
-            m_hat = m / (1 - ADAM_BETA1 ** t)
-            v_hat = v / (1 - ADAM_BETA2 ** t)
-            w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    for w, gr, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(),
+                           state.v.arrays()):
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * gr
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * gr * gr
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     params.version += 1
 
 
@@ -390,7 +369,9 @@ def save_params(params: GcnParams, path, seed: int | None = None) -> None:
 
 def load_params(path) -> GcnParams:
     """Read an archive written by :func:`save_params`; one without bias
-    arrays loads with zero biases. Any other file raises ValueError."""
+    arrays loads with zero biases. Any other file raises ValueError, and so
+    does an archive :func:`predict` cannot score with: an output layer of
+    other than two logits, or a weight or bias that is not finite."""
     try:
         with np.load(path) as data:
             dims = data["dims"]
@@ -405,5 +386,10 @@ def load_params(path) -> GcnParams:
     params = GcnParams(w_self, w_neigh, bias)
     if params.dims != [int(d) for d in dims]:
         raise ValueError(f"stored dims {list(dims)} do not match matrix shapes")
+    if params.dims[-1] != 2:
+        raise ValueError(f"output layer has {params.dims[-1]} classes, "
+                         "the good-node scorer needs 2")
+    if not all(np.isfinite(a).all() for a in params.arrays()):
+        raise ValueError("a weight or bias is not finite")
     return params
 

@@ -222,26 +222,28 @@ def write_epoch_log(history, path) -> None:
             writer.writerow([epoch, f"{train_loss:.10g}", f"{val_loss:.10g}"])
 
 
-def _fit(g, x, epochs, lr, dropout, seed, dims, train_loss_fn, val_loss_fn):
-    """Shared full-batch loop; keeps the best-validation-loss parameters.
+def _fit(g, x, cfg, dims, train_loss_fn, val_loss_fn):
+    """Shared full-batch loop over ``cfg.epochs`` at ``cfg.lr``, with
+    ``cfg.dropout`` and streams derived from ``cfg.seed``; keeps the
+    best-validation-loss parameters.
 
     Validation loss is measured on the post-update parameters in eval mode,
     so the checkpoint corresponds to a state the caller could reproduce.
     """
-    params = gcn.init_params(dims, derive_seed(seed, "init"))
-    drop_rng = make_rng(derive_seed(seed, "dropout"))
+    params = gcn.init_params(dims, derive_seed(cfg.seed, "init"))
+    drop_rng = make_rng(derive_seed(cfg.seed, "dropout"))
     state = gcn.adam_init(params)
     best_val = np.inf
     best_params = params.copy()
     best_epoch = 0
     history = []
-    for epoch in range(1, epochs + 1):
-        logits, cache = gcn.forward_train(g, params, x, dropout, drop_rng)
+    for epoch in range(1, cfg.epochs + 1):
+        logits, cache = gcn.forward_train(g, params, x, cfg.dropout, drop_rng)
         train_loss, grad = train_loss_fn(logits)
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(f"training diverged at epoch {epoch}")
         grads = gcn.backward(g, params, cache, grad)
-        gcn.adam_step(params, grads, state, lr)
+        gcn.adam_step(params, grads, state, cfg.lr)
         val_logits = gcn.forward(g, params, x)
         val_loss, _ = val_loss_fn(val_logits)
         history.append((epoch, float(train_loss), float(val_loss)))
@@ -265,8 +267,7 @@ def train_teacher(g: Graph, labels: LabelSet,
     def val_loss(logits):
         return gcn.supervised_loss(logits, labels.labels, labels.val_ids)
 
-    return _fit(g, x, cfg.epochs, cfg.lr, cfg.dropout, cfg.seed, dims,
-                train_loss, val_loss)
+    return _fit(g, x, cfg, dims, train_loss, val_loss)
 
 
 @dataclass
@@ -349,8 +350,7 @@ def train_student(g: Graph, labels: LabelSet, teacher: GcnParams,
     def val_loss(logits):
         return combined(logits, labels.val_ids, None)
 
-    return _fit(g, x, cfg.epochs, cfg.lr, cfg.dropout, cfg.seed, dims,
-                train_loss, val_loss)
+    return _fit(g, x, cfg, dims, train_loss, val_loss)
 
 
 def predict_good_nodes(params: GcnParams, g: Graph) -> NodeSet:

@@ -49,6 +49,18 @@ def npz_bytes(**arrays):
     return buf.getvalue()
 
 
+def params_bytes(params):
+    """The bytes of the archive save_params writes for ``params``."""
+    buf = io.BytesIO()
+    save_params(params, buf)
+    return buf.getvalue()
+
+
+def with_nan(params):
+    params.w_neigh[0][0, 0] = np.nan
+    return params
+
+
 def make_teacher(workdir, graph, labels, name="teacher.npz"):
     out = workdir / name
     assert run("train-teacher", "--graph", str(graph), "--labels", str(labels),
@@ -180,11 +192,20 @@ class TestTraining:
         assert f"label file {labels} labels {n_labels} nodes, the graph has 60" in err
         assert not (workdir / "out.npz").exists()
 
+    # the last three are well-formed archives that cannot score the graph's
+    # nodes; they are input errors too, caught before inference or training
     @pytest.mark.parametrize("body, detail", [
-        (npz_bytes(a=np.arange(3)), "'dims is not a file in the archive'"),
+        (npz_bytes(a=np.arange(3)),
+         "not a parameter archive: 'dims is not a file in the archive'"),
         (npz_bytes(dims=np.array([1, 2]), w_self_0=np.ones((1, 2)))[:40],
-         "File is not a zip file"),
-    ], ids=["no-dims", "truncated"])
+         "not a parameter archive: File is not a zip file"),
+        (params_bytes(init_params([3, 4, 2], 0)),
+         "input layer takes 3 features, the degree features are 1 wide"),
+        (params_bytes(init_params([1, 4, 3], 0)),
+         "output layer has 3 classes, the good-node scorer needs 2"),
+        (params_bytes(with_nan(init_params([1, 4, 2], 0))),
+         "a weight or bias is not finite"),
+    ], ids=["no-dims", "truncated", "input-width-3", "three-classes", "nan-weight"])
     @pytest.mark.parametrize("argv", [
         ["prune", "--params"],
         ["train-student", "--labels", "labels.txt", "--teacher"],
@@ -198,7 +219,7 @@ class TestTraining:
         assert run(*argv, str(bad), "--graph", str(g)) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"{bad}: not a parameter archive: {detail}" in err
+        assert f"{bad}: {detail}" in err
 
 
 class TestPruneAndSolve:

@@ -38,27 +38,24 @@ def numeric_gradient(loss_fn, params, h=1e-5):
     """Central finite differences of loss_fn over every weight and bias
     entry."""
     out = params.copy()
-    for group in ("w_self", "w_neigh", "bias"):
-        for k, w in enumerate(getattr(params, group)):
-            target = getattr(out, group)[k]
-            it = np.nditer(w, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = w[idx]
-                w[idx] = orig + h
-                up = loss_fn(params)
-                w[idx] = orig - h
-                down = loss_fn(params)
-                w[idx] = orig
-                target[idx] = (up - down) / (2 * h)
+    for w, target in zip(params.arrays(), out.arrays()):
+        it = np.nditer(w, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = w[idx]
+            w[idx] = orig + h
+            up = loss_fn(params)
+            w[idx] = orig - h
+            down = loss_fn(params)
+            w[idx] = orig
+            target[idx] = (up - down) / (2 * h)
     return out
 
 
 def max_rel_error(analytic, numeric):
     worst = 0.0
     mass = 0.0
-    for ga, gn in zip(analytic.w_self + analytic.w_neigh + analytic.bias,
-                      numeric.w_self + numeric.w_neigh + numeric.bias):
+    for ga, gn in zip(analytic.arrays(), numeric.arrays()):
         denom = np.maximum(np.abs(ga) + np.abs(gn), 1e-8)
         worst = max(worst, float((np.abs(ga - gn) / denom).max()))
         mass += float(np.abs(ga).sum())
@@ -107,6 +104,25 @@ class TestInit:
         with pytest.raises(ValueError):
             GcnParams([np.zeros((1, 4)), np.zeros((5, 2))],
                       [np.zeros((1, 4)), np.zeros((5, 2))])
+
+
+class TestLayout:
+    def test_arrays_are_the_stored_objects_in_order(self):
+        p = init_params([1, 4, 3, 2], seed=0)
+        got = p.arrays()
+        assert len(got) == 9
+        assert all(a is b for a, b in zip(got, p.w_self + p.w_neigh + p.bias))
+
+    def test_map_keeps_layout_at_version_zero_and_copy_keeps_version(self):
+        p = init_params([1, 4, 2], seed=0)
+        p.version = 7
+        z = p.map(np.zeros_like)
+        assert z.version == 0 and z.dims == p.dims
+        assert all(np.all(a == 0.0) for a in z.arrays())
+        c = p.copy()
+        assert c.version == 7
+        assert all(a is not b and np.array_equal(a, b)
+                   for a, b in zip(c.arrays(), p.arrays()))
 
 
 class TestForward:
@@ -438,9 +454,8 @@ class TestAdam:
         p = init_params([1, 4, 2], seed=0)
         before = p.copy()
         st = adam_init(p)
-        from prunesolve.gcn import Grads
-        zero = Grads([np.zeros_like(w) for w in p.w_self],
-                     [np.zeros_like(w) for w in p.w_neigh])
+        zero = GcnParams([np.zeros_like(w) for w in p.w_self],
+                         [np.zeros_like(w) for w in p.w_neigh])
         adam_step(p, zero, st, 1e-3)
         for a, b in zip(p.w_self + p.w_neigh, before.w_self + before.w_neigh):
             assert np.array_equal(a, b)
@@ -449,9 +464,8 @@ class TestAdam:
         p = init_params([1, 2], seed=0)
         before = p.w_self[0].copy()
         st = adam_init(p)
-        from prunesolve.gcn import Grads
-        g = Grads([np.zeros_like(w) for w in p.w_self],
-                  [np.zeros_like(w) for w in p.w_neigh])
+        g = GcnParams([np.zeros_like(w) for w in p.w_self],
+                      [np.zeros_like(w) for w in p.w_neigh])
         g.w_self[0][0, 0] = 1.0
         adam_step(p, g, st, 1e-3)
         delta = p.w_self[0] - before
@@ -474,12 +488,46 @@ class TestAdam:
                         runs[1].w_self + runs[1].w_neigh):
             assert np.array_equal(a, b)
 
+    def test_steps_match_textbook_adam_on_every_array(self):
+        # reference: per-element Adam with bias correction (Kingma & Ba,
+        # Algorithm 1), over the fields by name, so biases are checked too
+        p = init_params([2, 3, 2], seed=4)
+        rng = np.random.default_rng(4)
+        for b in p.bias:
+            b[:] = rng.normal(size=b.shape)
+
+        def fields(q):
+            return q.w_self + q.w_neigh + q.bias
+
+        start = [a.copy() for a in fields(p)]
+        want = [a.copy() for a in fields(p)]
+        m = [np.zeros_like(a) for a in want]
+        v = [np.zeros_like(a) for a in want]
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
+        st = adam_init(p)
+        for t in range(1, 6):
+            grads = GcnParams([rng.normal(size=w.shape) for w in p.w_self],
+                              [rng.normal(size=w.shape) for w in p.w_neigh],
+                              [rng.normal(size=b.shape) for b in p.bias])
+            adam_step(p, grads, st, lr)
+            for w, gr, mw, vw in zip(want, fields(grads), m, v):
+                for idx in np.ndindex(w.shape):
+                    mw[idx] = b1 * mw[idx] + (1 - b1) * gr[idx]
+                    vw[idx] = b2 * vw[idx] + (1 - b2) * gr[idx] ** 2
+                    m_hat = mw[idx] / (1 - b1 ** t)
+                    v_hat = vw[idx] / (1 - b2 ** t)
+                    w[idx] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert st.step == 5
+        assert len(want) == 3 * p.n_layers
+        for got, ref, before in zip(fields(p), want, start):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+            assert np.all(got != before)
+
     def test_version_counts_updates(self):
         p = init_params([1, 2], seed=0)
         st = adam_init(p)
-        from prunesolve.gcn import Grads
-        g = Grads([np.ones_like(w) for w in p.w_self],
-                  [np.ones_like(w) for w in p.w_neigh])
+        g = GcnParams([np.ones_like(w) for w in p.w_self],
+                      [np.ones_like(w) for w in p.w_neigh])
         v0 = p.version
         adam_step(p, g, st, 1e-3)
         adam_step(p, g, st, 1e-3)
