@@ -7,6 +7,13 @@ the full node set (baseline) and on the teacher's and student's predicted
 good nodes (pruned_pt / pruned), timing each and reporting quality, speedup,
 prune ratio, recall, and inference cost.
 
+Training uses both cores where it can. A fit wide enough (see
+``training._fit``) validates each epoch on a helper thread while it trains
+the next. On Linux the two students of phase 2 train side by side: the
+distillation-only one in a forked worker process, the boosted one here.
+Phase 3 starts only once that worker is gone, and every trained bit is
+what training one after another would give.
+
 Solver timing excludes graph construction and network inference. Each
 model's good nodes on a test graph come from one ``predict_good_nodes``
 call, and ``infer_*_ms`` is that call's wall time: the degree features, the
@@ -24,6 +31,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import sys
 import time
 import typing
 from dataclasses import asdict, dataclass
@@ -52,6 +60,10 @@ from .training import (
     train_student,
     train_teacher,
 )
+
+# Train the distillation-only student in a forked worker process while this
+# process trains the boosted one; elsewhere they train here, in turn.
+FORK_STUDENTS = sys.platform == "linux"
 
 VARIANTS = ("baseline", "pruned_pt", "pruned")
 SOLVER_REPEATS = 3  # runs per solver cell; the cell reports their median
@@ -194,13 +206,47 @@ def _timed_prediction(params, g: Graph):
     return good, (time.perf_counter() - t0) * 1e3
 
 
+def _train_kd_student(g: Graph, labels, teacher, cfg: StudentConfig):
+    """The distillation-only student (no boost weights). A module-level
+    function, so a worker process finds it, and ``train_student``, by name."""
+    return train_student(g, labels, teacher, None, cfg)
+
+
+def _train_students(g: Graph, labels, teacher, cfg: StudentConfig):
+    """The boosted student and the distillation-only student, as
+    ``(student, kd_student)``.
+
+    With ``FORK_STUDENTS`` (on Linux), the distillation-only student trains
+    in a one-worker process pool forked before this process computes the
+    boost weights and trains the boosted student, so the two fits use both
+    cores. The fork is made while this is the only thread, and the pool is
+    shut down, its worker and threads joined, before this returns or
+    raises. Each fit derives its own streams from ``cfg.seed``, so both
+    come out as they would here, in turn, which is the path elsewhere.
+    """
+    if not FORK_STUDENTS:
+        bw = boost_weights(teacher, g, labels)
+        return (train_student(g, labels, teacher, bw, cfg),
+                _train_kd_student(g, labels, teacher, cfg))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(1, multiprocessing.get_context("fork")) as pool:
+        kd_job = pool.submit(_train_kd_student, g, labels, teacher, cfg)
+        bw = boost_weights(teacher, g, labels)
+        student = train_student(g, labels, teacher, bw, cfg)
+        return student, kd_job.result()
+
+
 def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
     """Execute all three phases and assemble the report.
 
-    Solver cells run one after another in this process, so no timed run
-    shares the machine with another cell. Rows come grouped by test graph
-    (config order), then by solver, then by variant. Timeout notes follow
-    all model notes.
+    Phase 2 trains the two students side by side on Linux, one of them in a
+    forked worker process (:func:`_train_students`); that worker has exited
+    before phase 3. Solver cells run one after another in this process, so
+    no timed run shares the machine with another cell or with training.
+    Rows come grouped by test graph (config order), then by solver, then by
+    variant. Timeout notes follow all model notes.
     """
     def say(msg):
         if log:
@@ -226,9 +272,8 @@ def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
     # phase 2: boosted student plus distillation-only student
     try:
         say("phase 2: training students")
-        bw = boost_weights(teacher.params, train_g, labels)
-        student = train_student(train_g, labels, teacher.params, bw, cfg.student)
-        kd_student = train_student(train_g, labels, teacher.params, None, cfg.student)
+        student, kd_student = _train_students(train_g, labels, teacher.params,
+                                              cfg.student)
     except Exception as e:
         raise PipelineError("students", str(e)) from e
 

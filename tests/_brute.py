@@ -28,6 +28,9 @@ difference per free node; the package's scan must give the same value.
 comparing the sorted (src, dst) keys with the (dst, src) keys.
 ``edge_array_induced`` is the induced subgraph as it was, filtered from
 the whole graph's edge array; it checks the row gather in the package.
+``serial_fit`` is the training loop as it was, each epoch's validation pass
+run after its update on the one thread; the package's overlapped loop must
+give the same parameters, history and best epoch, bit for bit.
 """
 
 import functools
@@ -36,7 +39,15 @@ import time
 
 import numpy as np
 
-from prunesolve.graph import EdgeListParseError, EmptyGraphError, Graph, NodeSet
+from prunesolve import gcn
+from prunesolve.graph import (
+    EdgeListParseError,
+    EmptyGraphError,
+    Graph,
+    NodeSet,
+    derive_seed,
+    make_rng,
+)
 from prunesolve.solvers import (
     MIS,
     MVC,
@@ -46,6 +57,7 @@ from prunesolve.solvers import (
     _Deadline,
     greedy_mvc,
 )
+from prunesolve.training import TrainingDivergedError, TrainResult
 
 
 def _subset_tables(g):
@@ -526,3 +538,30 @@ def validate(g: Graph) -> None:
     backward = np.sort(g.targets * g.n + rows)
     if not np.array_equal(forward, backward):
         raise ValueError("adjacency not symmetric")
+
+
+def serial_fit(g, x, cfg, dims, train_loss_fn, val_loss_fn):
+    """``training._fit`` as it was: one thread, each epoch's validation
+    forward pass and loss run right after its Adam step."""
+    params = gcn.init_params(dims, derive_seed(cfg.seed, "init"))
+    drop_rng = make_rng(derive_seed(cfg.seed, "dropout"))
+    state = gcn.adam_init(params)
+    best_val = np.inf
+    best_params = params.copy()
+    best_epoch = 0
+    history = []
+    for epoch in range(1, cfg.epochs + 1):
+        logits, cache = gcn.forward_train(g, params, x, cfg.dropout, drop_rng)
+        train_loss, grad = train_loss_fn(logits)
+        if not np.isfinite(train_loss):
+            raise TrainingDivergedError(f"training diverged at epoch {epoch}")
+        grads = gcn.backward(g, params, cache, grad)
+        gcn.adam_step(params, grads, state, cfg.lr)
+        val_logits = gcn.forward(g, params, x)
+        val_loss, _ = val_loss_fn(val_logits)
+        history.append((epoch, float(train_loss), float(val_loss)))
+        if val_loss < best_val:
+            best_val = val_loss
+            best_params = params.copy()
+            best_epoch = epoch
+    return TrainResult(best_params, history, best_epoch)

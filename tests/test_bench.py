@@ -1,13 +1,17 @@
 """Benchmark pipeline: config parsing, execution, and report emission."""
 
 import csv
+import dataclasses
 import json
+import multiprocessing
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
 
-from prunesolve import bench, gcn
+from prunesolve import bench, gcn, training
 from prunesolve.bench import (
     CSV_COLUMNS,
     REPORT_NOTES,
@@ -202,6 +206,87 @@ class TestRunPipeline:
         rep = run_pipeline(tiny_config(solvers=["exact"], exact_time_limit=1e-4))
         assert any("time limit" in n for n in rep.notes)
         assert len(rep.rows) == 3
+
+
+def stable_fields(rep):
+    """A report's rows without the timing columns, and its notes."""
+    rows = [{k: v for k, v in dataclasses.asdict(r).items()
+             if k not in TIMING_COLUMNS} for r in rep.rows]
+    return rows, rep.notes
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the students train side by side only where processes fork")
+
+
+@needs_fork
+class TestConcurrentTraining:
+    """Phase 2 trains the distillation-only student in a forked worker while
+    the boosted one trains here; wide fits validate on a helper thread."""
+
+    @staticmethod
+    def wide_config(**overrides):
+        # a teacher wide enough that its validation overlaps training
+        cfg = tiny_config(
+            train_graph=GraphSpec("train200", n=200, m=2, seed=1),
+            teacher=TeacherConfig(hidden_dims=(128,), epochs=6, seed=0),
+            student=StudentConfig(hidden_dims=(8,), epochs=6, seed=0),
+            solvers=["greedy"], **overrides)
+        assert 200 * 128 >= training.OVERLAP_MIN_CELLS
+        return cfg
+
+    def test_no_process_or_thread_outlives_run(self, monkeypatch):
+        monkeypatch.setattr(bench, "FORK_STUDENTS", True)
+        threads = set(threading.enumerate())
+        run_pipeline(self.wide_config())
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == threads
+
+    def test_fork_and_in_process_give_same_report(self, monkeypatch):
+        reports = {}
+        for fork in (True, False):
+            monkeypatch.setattr(bench, "FORK_STUDENTS", fork)
+            reports[fork] = run_pipeline(tiny_config(
+                student=StudentConfig(hidden_dims=(8,), epochs=30, seed=4)))
+        assert stable_fields(reports[True]) == stable_fields(reports[False])
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_worker_failure_is_a_students_error(self, monkeypatch, fork):
+        # the patched train_student is what the forked worker inherits; it
+        # fails only outside this process, so only the worker's student
+        # fails, and only on the fork path
+        monkeypatch.setattr(bench, "FORK_STUDENTS", fork)
+        here = os.getpid()
+        train_student = bench.train_student
+
+        def fails_in_worker(*args):
+            if os.getpid() != here:
+                raise ValueError(f"student failed in worker {os.getpid()}")
+            return train_student(*args)
+
+        monkeypatch.setattr(bench, "train_student", fails_in_worker)
+        threads = set(threading.enumerate())
+        if fork:
+            with pytest.raises(PipelineError, match="student failed in worker") as e:
+                run_pipeline(self.wide_config())
+            assert e.value.phase == "students"
+        else:
+            assert run_pipeline(self.wide_config()).rows
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == threads
+
+    def test_in_process_failure_waits_for_worker(self, monkeypatch):
+        monkeypatch.setattr(bench, "FORK_STUDENTS", True)
+
+        def no_weights(*args):
+            raise ValueError("no weights")
+
+        monkeypatch.setattr(bench, "boost_weights", no_weights)
+        with pytest.raises(PipelineError, match="no weights") as e:
+            run_pipeline(self.wide_config())
+        assert e.value.phase == "students"
+        assert multiprocessing.active_children() == []
 
 
 class TestEmitReport:

@@ -1,9 +1,13 @@
 """Label generation, boosting, and the teacher/student training loops."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from _brute import serial_fit
 from conftest import graph_from_edges
+from prunesolve import gcn, training
 from prunesolve.gcn import GcnParams, forward, init_params, kd_loss, supervised_loss
 from prunesolve.graph import derive_seed, generate_ba
 from prunesolve.training import (
@@ -293,6 +297,167 @@ class TestTrainStudent:
         for wa, wb in zip(a.params.w_self + a.params.w_neigh,
                           b.params.w_self + b.params.w_neigh):
             assert np.array_equal(wa, wb)
+
+
+WIDE = 128  # with BA-200 (n x width 25 600) validation overlaps training
+
+
+@pytest.fixture(scope="module")
+def ba200():
+    """BA-200 MVC labels and a briefly trained wide teacher."""
+    g = generate_ba(200, 3, seed=4)
+    assert g.n * WIDE >= training.OVERLAP_MIN_CELLS
+    ls = generate_labels(g, "mvc", seed=2)
+    teacher = train_teacher(g, ls, TeacherConfig(hidden_dims=(WIDE,), epochs=5,
+                                                 seed=1))
+    return g, ls, teacher.params
+
+
+def fit_both_ways(monkeypatch, train):
+    """``train()`` through the package's ``_fit`` and through the serial
+    oracle ``serial_fit``."""
+    overlapped = train()
+    with monkeypatch.context() as m:
+        m.setattr(training, "_fit", serial_fit)
+        serial = train()
+    return overlapped, serial
+
+
+def assert_same_fit(a, b):
+    assert a.history == b.history
+    assert a.best_epoch == b.best_epoch
+    assert a.params.version == b.params.version
+    assert a.params.dims == b.params.dims
+    for wa, wb in zip(a.params.arrays(), b.params.arrays(), strict=True):
+        assert wa.dtype == wb.dtype and wa.tobytes() == wb.tobytes()
+
+
+class TestOverlappedFit:
+    """``_fit`` validates epoch t on a helper thread while it trains epoch
+    t + 1; every output must equal the serial loop's, byte for byte."""
+
+    @pytest.mark.parametrize("epochs", [1, 2, 7])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("role", ["teacher", "student", "kd-student"])
+    def test_matches_serial_loop(self, monkeypatch, ba200, role, dropout, epochs):
+        g, ls, teacher = ba200
+        if role == "teacher":
+            cfg = TeacherConfig(hidden_dims=(WIDE, WIDE), epochs=epochs,
+                                dropout=dropout, seed=3)
+            train = lambda: train_teacher(g, ls, cfg)  # noqa: E731
+        else:
+            bw = boost_weights(teacher, g, ls) if role == "student" else None
+            cfg = StudentConfig(hidden_dims=(WIDE, 8), epochs=epochs,
+                                dropout=dropout, seed=3)
+            train = lambda: train_student(g, ls, teacher, bw, cfg)  # noqa: E731
+        overlapped, serial = fit_both_ways(monkeypatch, train)
+        assert len(overlapped.history) == epochs
+        assert_same_fit(overlapped, serial)
+
+    def test_small_fit_matches_serial_loop(self, monkeypatch, ba200):
+        g, ls, _ = ba200
+        cfg = TeacherConfig(hidden_dims=(8, 8), epochs=7, seed=3)
+        assert g.n * 8 < training.OVERLAP_MIN_CELLS
+        assert_same_fit(*fit_both_ways(monkeypatch,
+                                       lambda: train_teacher(g, ls, cfg)))
+
+    def fit(self, g, ls, cfg, val_loss):
+        x = degree_features(g)
+
+        def train_loss(logits):
+            return supervised_loss(logits, ls.labels, ls.train_ids)
+
+        dims = [1, *cfg.hidden_dims, 2]
+        return (training._fit(g, x, cfg, dims, train_loss, val_loss),
+                serial_fit(g, x, cfg, dims, train_loss, val_loss))
+
+    @pytest.mark.parametrize("sign, best", [(1, "first"), (-1, "last")])
+    def test_best_epoch_first_or_last(self, ba200, sign, best):
+        # at this small rate the validation loss rises every epoch here, so
+        # it is least at the first epoch and its negation least at the last
+        g, ls, _ = ba200
+        cfg = TeacherConfig(hidden_dims=(WIDE,), epochs=7, lr=1e-4, dropout=0.0,
+                            seed=3)
+
+        def val_loss(logits):
+            loss, grad = supervised_loss(logits, ls.labels, ls.val_ids)
+            return sign * loss, grad
+
+        overlapped, serial = self.fit(g, ls, cfg, val_loss)
+        assert overlapped.best_epoch == (7 if best == "last" else 1)
+        assert_same_fit(overlapped, serial)
+
+    def test_validation_runs_on_helper_thread_only_when_wide(self, monkeypatch, ba200):
+        g, ls, _ = ba200
+        threads = []
+        forward = gcn.forward
+
+        def spy(*args):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return forward(*args)
+
+        monkeypatch.setattr(gcn, "forward", spy)
+        train_teacher(g, ls, TeacherConfig(hidden_dims=(WIDE,), epochs=3, seed=3))
+        assert threads == [False] * 3
+        threads.clear()
+        train_teacher(g, ls, TeacherConfig(hidden_dims=(8,), epochs=3, seed=3))
+        assert threads == [True] * 3
+
+    @pytest.mark.parametrize("width", [WIDE, 8])
+    def test_validation_error_propagates_and_joins_thread(self, ba200, width):
+        g, ls, _ = ba200
+        cfg = TeacherConfig(hidden_dims=(width,), epochs=7, seed=3)
+        calls = []
+
+        def val_loss(logits):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("validation failed at epoch 3")
+            return supervised_loss(logits, ls.labels, ls.val_ids)
+
+        before = threading.active_count()
+        for fit in (training._fit, serial_fit):
+            calls.clear()
+            with pytest.raises(ValueError, match="epoch 3"):
+                fit(g, degree_features(g), cfg, [1, width, 2],
+                    lambda z: supervised_loss(z, ls.labels, ls.train_ids), val_loss)
+            assert threading.active_count() == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_validation_error_wins_over_next_epoch_divergence(self, ba200):
+        # epoch 2's validation raises while epoch 3's training loss is not
+        # finite: in turn the validation error comes first
+        g, ls, _ = ba200
+        cfg = TeacherConfig(hidden_dims=(WIDE,), epochs=7, seed=3)
+        trained, validated = [], []
+
+        def train_loss(logits):
+            trained.append(1)
+            loss, grad = supervised_loss(logits, ls.labels, ls.train_ids)
+            return (np.nan if len(trained) == 3 else loss), grad
+
+        def val_loss(logits):
+            validated.append(1)
+            if len(validated) == 2:
+                raise ValueError("validation failed")
+            return supervised_loss(logits, ls.labels, ls.val_ids)
+
+        before = threading.active_count()
+        for fit in (training._fit, serial_fit):
+            trained.clear()
+            validated.clear()
+            with pytest.raises(ValueError, match="validation failed"):
+                fit(g, degree_features(g), cfg, [1, WIDE, 2], train_loss, val_loss)
+            assert threading.active_count() == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_joins_thread(self, ba200):
+        g, ls, _ = ba200
+        cfg = TeacherConfig(hidden_dims=(WIDE,), epochs=30, lr=1e200, seed=0)
+        before = threading.active_count()
+        with pytest.raises(TrainingDivergedError, match="epoch"):
+            train_teacher(g, ls, cfg)
+        assert threading.active_count() == before
 
 
 class TestPrediction:
