@@ -7,12 +7,14 @@ the full node set (baseline) and on the teacher's and student's predicted
 good nodes (pruned_pt / pruned), timing each and reporting quality, speedup,
 prune ratio, recall, and inference cost.
 
-Training uses both cores where it can. A fit wide enough (see
-``training._fit``) validates each epoch on a helper thread while it trains
-the next. On Linux the two students of phase 2 train side by side: the
-distillation-only one in a forked worker process, the boosted one here.
-Phase 3 starts only once that worker is gone, and every trained bit is
-what training one after another would give.
+Training uses a second CPU where this process may run on one (see
+``training.usable_cpus``). On Linux the two students of phase 2 train side
+by side: the distillation-only one in a forked worker process, the boosted
+one here. A fit wide enough validates each epoch on a helper thread while
+it trains the next, where BLAS is pinned to one thread and no other process
+of the pipeline trains (see ``training._fit``): in phase 1, not beside the
+student worker. Phase 3 starts only once that worker is gone, and every
+trained bit is what training one after another would give.
 
 Solver timing excludes graph construction and network inference. Each
 model's good nodes on a test graph come from one ``predict_good_nodes``
@@ -59,11 +61,8 @@ from .training import (
     recall,
     train_student,
     train_teacher,
+    usable_cpus,
 )
-
-# Train the distillation-only student in a forked worker process while this
-# process trains the boosted one; elsewhere they train here, in turn.
-FORK_STUDENTS = sys.platform == "linux"
 
 VARIANTS = ("baseline", "pruned_pt", "pruned")
 SOLVER_REPEATS = 3  # runs per solver cell; the cell reports their median
@@ -212,19 +211,27 @@ def _train_kd_student(g: Graph, labels, teacher, cfg: StudentConfig):
     return train_student(g, labels, teacher, None, cfg)
 
 
+def _fork_students() -> bool:
+    """Whether phase 2 trains its students side by side: on Linux, where
+    processes fork, and only when this process may run on two CPUs."""
+    return sys.platform == "linux" and usable_cpus() >= 2
+
+
 def _train_students(g: Graph, labels, teacher, cfg: StudentConfig):
     """The boosted student and the distillation-only student, as
     ``(student, kd_student)``.
 
-    With ``FORK_STUDENTS`` (on Linux), the distillation-only student trains
+    Where :func:`_fork_students` holds, the distillation-only student trains
     in a one-worker process pool forked before this process computes the
     boost weights and trains the boosted student, so the two fits use both
-    cores. The fork is made while this is the only thread, and the pool is
-    shut down, its worker and threads joined, before this returns or
-    raises. Each fit derives its own streams from ``cfg.seed``, so both
-    come out as they would here, in turn, which is the path elsewhere.
+    cores; neither starts a validation helper thread beside the other
+    (``training._spare_cpu``). The fork is made while this is the only
+    thread, and the pool is shut down, its worker and threads joined,
+    before this returns or raises. Each fit derives its own streams from
+    ``cfg.seed``, so both come out as they would here, in turn, which is
+    the path elsewhere.
     """
-    if not FORK_STUDENTS:
+    if not _fork_students():
         bw = boost_weights(teacher, g, labels)
         return (train_student(g, labels, teacher, bw, cfg),
                 _train_kd_student(g, labels, teacher, cfg))
@@ -241,10 +248,11 @@ def _train_students(g: Graph, labels, teacher, cfg: StudentConfig):
 def run_pipeline(cfg: PipelineConfig, log=None) -> BenchReport:
     """Execute all three phases and assemble the report.
 
-    Phase 2 trains the two students side by side on Linux, one of them in a
-    forked worker process (:func:`_train_students`); that worker has exited
-    before phase 3. Solver cells run one after another in this process, so
-    no timed run shares the machine with another cell or with training.
+    Phase 2 trains the two students side by side on Linux with two CPUs or
+    more, one of them in a forked worker process (:func:`_train_students`);
+    that worker has exited before phase 3. Solver cells run one after
+    another in this process, so no timed run shares the machine with
+    another cell or with training.
     Rows come grouped by test graph (config order), then by solver, then by
     variant. Timeout notes follow all model notes.
     """

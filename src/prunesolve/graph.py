@@ -129,12 +129,15 @@ class Graph:
         cached: entry ``v`` equals ``neighbors(v).tolist()``.
 
         Pure-Python loops index these instead of slicing a numpy row per
-        node; tuples keep the shared cache read-only.
+        node; tuples keep the shared cache read-only. A lone node gets the
+        empty tuple without a slice, so the subgraph of a pruned instance,
+        mostly lone nodes, builds its lists at little cost.
         """
         if self._lists is None:
             t = self.targets.tolist()
             o = self.offsets.tolist()
-            self._lists = tuple([tuple(t[o[v]:o[v + 1]]) for v in range(self.n)])
+            self._lists = tuple([tuple(t[a:b]) if a < b else ()
+                                 for a, b in zip(o, o[1:])])
         return self._lists
 
     def mean_adjacency_csr(self):

@@ -296,10 +296,7 @@ def _greedy_set(g: Graph) -> np.ndarray:
     takes every such node before the loop, and the set stays the same; most
     candidates of a pruned instance are such lone nodes in the subgraph
     they induce. The loop runs while a count of the pool's nodes is
-    positive, so no entry left after the last pick is popped. It reads a
-    node's neighbors as a slice of the adjacency targets between its two
-    offsets, as Python lists, so a call builds no per-node tuple for the
-    lone nodes it never visits.
+    positive, so no entry left after the last pick is popped.
 
     The min-heap holds plain ints, ``r * n + v`` for residual degree r,
     which order as (r, v), but only for nodes at or below a frontier degree
@@ -318,8 +315,7 @@ def _greedy_set(g: Graph) -> np.ndarray:
     the pool.
     """
     n = g.n
-    t = g.targets.tolist()
-    o = g.offsets.tolist()
+    adj = g.neighbor_lists()
     deg = g.degrees()
     lone = deg == 0
     in_set = bytearray(lone)
@@ -340,12 +336,12 @@ def _greedy_set(g: Graph) -> np.ndarray:
         if not pool[v]:
             continue
         in_set[v] = 1
-        removed = [v] + [u for u in t[o[v]:o[v + 1]] if pool[u]]
+        removed = [v] + [u for u in adj[v] if pool[u]]
         for r in removed:
             pool[r] = 0
         left -= len(removed)
         for r in removed:
-            for u in t[o[r]:o[r + 1]]:
+            for u in adj[r]:
                 if pool[u]:
                     d = resid[u] - 1
                     resid[u] = d

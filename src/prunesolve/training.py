@@ -13,6 +13,7 @@ init, dropout) are derived from one seed so runs cannot entangle.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,12 +224,46 @@ def write_epoch_log(history, path) -> None:
 
 
 # A fit overlaps its validation passes with training (see _fit) when its
-# training graph's node count times its widest layer reaches this. Below it
-# a pass is too short to leave the interpreter lock for long, and handing it
-# to a thread costs more than it saves: per epoch, with one BLAS thread on
-# two cores, n x width 9 600 read +21 % with the helper, 16 000 +2 %, 22 400
+# training graph's node count times its widest layer reaches this and a
+# second CPU is free for the helper thread (_spare_cpu). Below it a pass is
+# too short to leave the interpreter lock for long, and handing it to a
+# thread costs more than it saves: per epoch, with one BLAS thread on two
+# cores, n x width 9 600 read +21 % with the helper, 16 000 +2 %, 22 400
 # +1 %, 25 600 -3 %, 32 000 -7 to -9 % and BA-500 at width 128 -14 %.
 OVERLAP_MIN_CELLS = 25_000
+
+# The variables by which numpy's BLAS takes its thread count, the first set
+# one winning: OpenBLAS reads the first and MKL the second, each then the
+# third.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's CPU count. Training spreads over
+    more than one thread or process only when this is at least 2."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spare_cpu() -> bool:
+    """Whether a fit may hand its validation passes to a helper thread:
+    this process may run on two CPUs (:func:`usable_cpus`), the BLAS runs
+    one thread (the first of ``BLAS_THREAD_VARIABLES`` set reads 1), and no
+    process of this program shares the CPUs, that is, this process is no
+    ``multiprocessing`` worker and has no live child such as ``bench``'s
+    student worker. With the BLAS on its default of one thread per CPU, the
+    helper slowed ``bench`` phase 1 by 10 % on two CPUs; beside the student
+    worker, two 32-wide BA-1K students took 3 to 8 % longer with helpers."""
+    if usable_cpus() < 2:
+        return False
+    pinned = [os.environ[var].strip() for var in BLAS_THREAD_VARIABLES
+              if os.environ.get(var, "").strip()]
+    if pinned[:1] != ["1"]:
+        return False
+    import multiprocessing
+    return multiprocessing.parent_process() is None and not multiprocessing.active_children()
 
 
 def _fit(g, x, cfg, dims, train_loss_fn, val_loss_fn):
@@ -239,10 +274,11 @@ def _fit(g, x, cfg, dims, train_loss_fn, val_loss_fn):
     Validation loss is measured on the post-update parameters in eval mode,
     so the checkpoint corresponds to a state the caller could reproduce.
 
-    When ``g.n`` times the widest layer reaches ``OVERLAP_MIN_CELLS``, epoch
-    t's validation pass (the eval-mode ``gcn.forward`` and ``val_loss_fn``)
-    runs on a helper thread while this thread runs epoch t + 1's
-    ``forward_train``, ``train_loss_fn`` and ``backward``. All of those only
+    When ``g.n`` times the widest layer reaches ``OVERLAP_MIN_CELLS`` and a
+    second CPU is free (:func:`_spare_cpu`), epoch t's validation pass
+    (the eval-mode ``gcn.forward`` and ``val_loss_fn``) runs on a helper
+    thread while this thread runs epoch t + 1's ``forward_train``,
+    ``train_loss_fn`` and ``backward``. All of those only
     read ``params``. Their one writer, ``adam_step``, runs on this thread
     after the validation loss of the epoch before has come back, which is
     also when the checkpoint is copied. So every parameter, the history and
@@ -259,7 +295,7 @@ def _fit(g, x, cfg, dims, train_loss_fn, val_loss_fn):
     best_epoch = 0
     history = []
     helper = None
-    if g.n * max(dims) >= OVERLAP_MIN_CELLS:
+    if g.n * max(dims) >= OVERLAP_MIN_CELLS and _spare_cpu():
         from concurrent.futures import ThreadPoolExecutor
         helper = ThreadPoolExecutor(1)
 

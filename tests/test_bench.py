@@ -228,25 +228,82 @@ class TestConcurrentTraining:
     @staticmethod
     def wide_config(**overrides):
         # a teacher wide enough that its validation overlaps training
-        cfg = tiny_config(
+        fields = dict(
             train_graph=GraphSpec("train200", n=200, m=2, seed=1),
             teacher=TeacherConfig(hidden_dims=(128,), epochs=6, seed=0),
             student=StudentConfig(hidden_dims=(8,), epochs=6, seed=0),
-            solvers=["greedy"], **overrides)
+            solvers=["greedy"])
+        cfg = tiny_config(**{**fields, **overrides})
         assert 200 * 128 >= training.OVERLAP_MIN_CELLS
         return cfg
 
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # a host where training may use a second CPU: two CPUs, BLAS pinned
+        # to one thread
+        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def test_students_side_by_side_validate_on_their_own_thread(
+            self, monkeypatch, tmp_path):
+        # students wide enough to overlap alone; every process appends its
+        # own gcn.forward calls to one file, as (pid, on the main thread)
+        calls = tmp_path / "forward.txt"
+        forward = gcn.forward
+
+        def spy(*args):
+            with open(calls, "a") as f:
+                main = threading.current_thread() is threading.main_thread()
+                f.write(f"{os.getpid()} {int(main)}\n")
+            return forward(*args)
+
+        monkeypatch.setattr(gcn, "forward", spy)
+        cfg = self.wide_config(
+            student=StudentConfig(hidden_dims=(128,), epochs=6, seed=0))
+        assert bench._fork_students()
+        run_pipeline(cfg)
+        seen = [line.split() for line in calls.read_text().splitlines()]
+        here = str(os.getpid())
+        worker = [main for pid, main in seen if pid != here]
+        helper = [main for pid, main in seen if pid == here and main == "0"]
+        # the worker's teacher logits and six validations, all on its main
+        # thread; here only the teacher's six validations ran on a helper
+        assert worker == ["1"] * 7
+        assert len(helper) == 6
+
     def test_no_process_or_thread_outlives_run(self, monkeypatch):
-        monkeypatch.setattr(bench, "FORK_STUDENTS", True)
+        monkeypatch.setattr(bench, "_fork_students", lambda: True)
         threads = set(threading.enumerate())
         run_pipeline(self.wide_config())
         assert multiprocessing.active_children() == []
         assert set(threading.enumerate()) == threads
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_students_fork_only_with_two_cpus(self, monkeypatch, cpus):
+        monkeypatch.setattr(bench, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+        assert bench._fork_students() == (cpus == 2)
+        pids = []
+        train_student = bench.train_student
+
+        def spy(*args):
+            pids.append(os.getpid())
+            return train_student(*args)
+
+        # a forked worker appends to its own copy of the list, so only the
+        # fits of this process show in it
+        monkeypatch.setattr(bench, "train_student", spy)
+        threads = set(threading.enumerate())
+        run_pipeline(self.wide_config())
+        assert set(threading.enumerate()) == threads
+        assert multiprocessing.active_children() == []
+        assert pids == [os.getpid()] * (2 if cpus == 1 else 1)
+
     def test_fork_and_in_process_give_same_report(self, monkeypatch):
         reports = {}
         for fork in (True, False):
-            monkeypatch.setattr(bench, "FORK_STUDENTS", fork)
+            monkeypatch.setattr(bench, "_fork_students", lambda: fork)
             reports[fork] = run_pipeline(tiny_config(
                 student=StudentConfig(hidden_dims=(8,), epochs=30, seed=4)))
         assert stable_fields(reports[True]) == stable_fields(reports[False])
@@ -256,7 +313,7 @@ class TestConcurrentTraining:
         # the patched train_student is what the forked worker inherits; it
         # fails only outside this process, so only the worker's student
         # fails, and only on the fork path
-        monkeypatch.setattr(bench, "FORK_STUDENTS", fork)
+        monkeypatch.setattr(bench, "_fork_students", lambda: fork)
         here = os.getpid()
         train_student = bench.train_student
 
@@ -277,7 +334,7 @@ class TestConcurrentTraining:
         assert set(threading.enumerate()) == threads
 
     def test_in_process_failure_waits_for_worker(self, monkeypatch):
-        monkeypatch.setattr(bench, "FORK_STUDENTS", True)
+        monkeypatch.setattr(bench, "_fork_students", lambda: True)
 
         def no_weights(*args):
             raise ValueError("no weights")

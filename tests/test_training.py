@@ -336,6 +336,10 @@ class TestOverlappedFit:
     """``_fit`` validates epoch t on a helper thread while it trains epoch
     t + 1; every output must equal the serial loop's, byte for byte."""
 
+    @pytest.fixture(autouse=True)
+    def spare_cpu(self, monkeypatch):
+        monkeypatch.setattr(training, "_spare_cpu", lambda: True)
+
     @pytest.mark.parametrize("epochs", [1, 2, 7])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("role", ["teacher", "student", "kd-student"])
@@ -458,6 +462,65 @@ class TestOverlappedFit:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train_teacher(g, ls, cfg)
         assert threading.active_count() == before
+
+
+class TestSpareCpu:
+    """A fit starts its helper thread only with two CPUs, BLAS pinned to one
+    thread, and no other process of the program training beside it."""
+
+    @pytest.fixture
+    def host(self, monkeypatch):
+        """Two usable CPUs and no BLAS thread variable set; returns the
+        monkeypatch to change that with."""
+        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        for var in training.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(var, raising=False)
+        return monkeypatch
+
+    @pytest.mark.parametrize("cpus, env, spare", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (8, {"OMP_NUM_THREADS": " 1 "}, True),
+        (2, {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (2, {}, False),
+        (2, {"OPENBLAS_NUM_THREADS": ""}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ])
+    def test_cpus_and_blas_threads(self, host, cpus, env, spare):
+        host.setattr(training, "usable_cpus", lambda: cpus)
+        for var, value in env.items():
+            host.setenv(var, value)
+        assert training._spare_cpu() is spare
+
+    def test_none_beside_a_worker_process(self, host):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        host.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert training._spare_cpu()
+        with ProcessPoolExecutor(1, multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(training._spare_cpu).result() is False
+            assert not training._spare_cpu()
+        assert training._spare_cpu()
+
+    @pytest.mark.parametrize("cpus, blas", [(1, "1"), (2, None), (2, "2")])
+    def test_wide_fit_without_it_stays_on_one_thread(self, host, ba200, cpus, blas):
+        g, ls, _ = ba200
+        host.setattr(training, "usable_cpus", lambda: cpus)
+        if blas:
+            host.setenv("OPENBLAS_NUM_THREADS", blas)
+        threads = []
+        forward = gcn.forward
+
+        def spy(*args):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return forward(*args)
+
+        host.setattr(gcn, "forward", spy)
+        cfg = TeacherConfig(hidden_dims=(WIDE,), epochs=3, seed=3)
+        overlapped, serial = fit_both_ways(host, lambda: train_teacher(g, ls, cfg))
+        assert threads == [True] * 6
+        assert_same_fit(overlapped, serial)
 
 
 class TestPrediction:
